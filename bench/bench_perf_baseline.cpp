@@ -1,5 +1,5 @@
 // Core performance baseline — emits BENCH_core.json (schema
-// "hp-bench-core/v2", see docs/benchmarks.md): schedule-construction
+// "hp-bench-core/v4", see docs/benchmarks.md): schedule-construction
 // throughput (tasks/sec) for HeteroPrio, DualHP and HEFT on independent
 // uniform instances at n in {1e3, 1e4, 1e5}, the speedup of the optimized
 // HeteroPrio engine over the pre-optimization reference implementation, and
@@ -30,8 +30,6 @@ int main(int argc, char** argv) {
       options.sizes = {1000};
       options.repetitions = 2;
       options.sweep_tiles = {4, 8};
-      options.parallel_sizes = {1000};
-      options.parallel_threads = {1, 2};
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--reps" && i + 1 < argc) {
@@ -70,9 +68,7 @@ int main(int argc, char** argv) {
 
   const std::string json = perf::perf_baseline_to_json(baseline);
   std::string error;
-  if (!perf::validate_perf_baseline_json(json, options.sizes, &error,
-                                         options.parallel_sizes,
-                                         options.parallel_threads)) {
+  if (!perf::validate_perf_baseline_json(json, options.sizes, &error)) {
     std::cerr << "emitted document fails schema validation: " << error << '\n';
     return 1;
   }

@@ -11,7 +11,6 @@
 
 #include "core/engine_parts.hpp"
 #include "core/hp_engine.hpp"
-#include "par/heteroprio_par.hpp"
 #include "dag/ready_tracker.hpp"
 #include "model/task_soa.hpp"
 #include "obs/profile.hpp"
@@ -384,43 +383,6 @@ void run_independent_fast(const soa::SortKeys& sort_keys,
 }
 
 }  // namespace
-
-Schedule run_independent_presorted(std::span<const std::uint32_t> order,
-                                   std::span<const Task> tasks,
-                                   const Platform& platform,
-                                   const HeteroPrioOptions& options,
-                                   HeteroPrioStats* stats) {
-  assert(order.size() == tasks.size());
-  assert(platform.workers() > 0 && platform.workers() <= 63);
-  assert(options.sink == nullptr &&
-         (options.log == nullptr || !options.log->enabled()) &&
-         (options.faults == nullptr || options.faults->empty()));
-  const std::span<const Task> actuals =
-      options.actual_times.empty() ? tasks : options.actual_times;
-  assert(actuals.size() == tasks.size());
-
-  Schedule schedule(tasks.size());
-  HeteroPrioStats local_stats;
-  local_stats.first_idle_time = std::numeric_limits<double>::infinity();
-
-  util::Arena& arena = util::scratch_arena();
-  const util::ArenaScope arena_scope(arena);
-  const obs::PhaseScope engine_scope(options.metrics, obs::Phase::kEngine);
-
-  VictimOrder victim_order = options.victim_order;
-  if (victim_order == VictimOrder::kAuto) {
-    victim_order = VictimOrder::kCompletionTime;
-  }
-  simulate_independent(order.data(), order.size(), tasks, actuals, platform,
-                       options, victim_order, schedule, local_stats, arena);
-  if (stats != nullptr) {
-    if (!std::isfinite(local_stats.first_idle_time)) {
-      local_stats.first_idle_time = schedule.makespan();
-    }
-    *stats = local_stats;
-  }
-  return schedule;
-}
 
 Schedule run_heteroprio(std::span<const Task> tasks, const TaskGraph* graph,
                         const Platform& platform,
@@ -842,13 +804,6 @@ Schedule run_heteroprio(std::span<const Task> tasks, const TaskGraph* graph,
 
 Schedule heteroprio(std::span<const Task> tasks, const Platform& platform,
                     const HeteroPrioOptions& options, HeteroPrioStats* stats) {
-  // threads > 1 routes through the parallel engine (src/par), which owns
-  // the fallback decision for cases it does not cover. The layering nod:
-  // core normally doesn't reach up into par, but the public entry point
-  // lives here and the dependency is one-way at the header level.
-  if (options.threads > 1) {
-    return par::heteroprio_par_run(tasks, platform, options, stats, nullptr);
-  }
   return detail::run_heteroprio(tasks, nullptr, platform, options, stats);
 }
 

@@ -69,18 +69,6 @@ struct HeteroPrioOptions {
   /// strict no-op: the run is bitwise identical to one without the option.
   /// The plan outlives the call; the scheduler never reads it for decisions.
   const fault::FaultPlan* faults = nullptr;
-  /// Worker threads for the scheduler itself (src/par, docs/parallel.md).
-  /// <= 1 keeps the sequential engines; > 1 routes independent runs through
-  /// `par::heteroprio_par_run`, which shards the ready structure across this
-  /// many scheduler threads. Cases the parallel engine does not cover (DAGs,
-  /// fault plans, attached sinks) silently fall back to the sequential path.
-  int threads = 1;
-  /// Parallel tie-break contract (only read when threads > 1). Canonical
-  /// mode forces the deterministic cross-shard min-(key, id) merge and is
-  /// bitwise-identical to the sequential engine; free-running mode lets
-  /// shards race claims for throughput and guarantees a valid schedule plus
-  /// the proven makespan ratios, not identical placements.
-  bool canonical = true;
 };
 
 /// Observability counters of one HeteroPrio run.

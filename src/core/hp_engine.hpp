@@ -3,7 +3,6 @@
 // Not part of the public API; include core/heteroprio.hpp or
 // core/heteroprio_dag.hpp instead.
 
-#include <cstdint>
 #include <span>
 
 #include "core/heteroprio.hpp"
@@ -19,17 +18,5 @@ namespace hp::detail {
                                       const Platform& platform,
                                       const HeteroPrioOptions& options,
                                       HeteroPrioStats* stats);
-
-/// Run the independent fast engine over an externally supplied ready order:
-/// `order` must be the task ids sorted ascending by (key0[, key1], id) —
-/// GPU end first, exactly what the engine's internal sort would produce.
-/// Entry point for the parallel canonical path (src/par), which builds the
-/// order with a sharded sort + deterministic merge and must then observe
-/// bitwise-identical placements and counters. Preconditions as for the fast
-/// path: independent tasks, no fault plan, no sink/log, 0 < workers <= 63.
-[[nodiscard]] Schedule run_independent_presorted(
-    std::span<const std::uint32_t> order, std::span<const Task> tasks,
-    const Platform& platform, const HeteroPrioOptions& options,
-    HeteroPrioStats* stats);
 
 }  // namespace hp::detail

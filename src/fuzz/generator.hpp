@@ -38,16 +38,10 @@ struct GenKnobs {
   /// cases at a given (seed, index) are unchanged from before the knob
   /// existed whenever the draw comes up fault-free-of-arrivals.
   double online_fraction = 0.25;
-  /// Upper bound (inclusive) for FuzzCase::par_threads, the scheduler
-  /// thread count the `par` property exercises; drawn uniformly from
-  /// [2, par_threads]. Drawn *strictly last* — after the arrivals block —
-  /// so every earlier field of historical (seed, index) cases stays
-  /// byte-identical. < 2 disables the draw (par_threads stays 0).
-  int par_threads = 4;
   /// Upper bound (inclusive) for FuzzCase::serve_workers, the service
   /// worker-pool size the `serve` property exercises; drawn uniformly from
-  /// [2, serve_workers]. Drawn *strictly last*, after the par_threads draw
-  /// (the property arrived later), so every earlier field of historical
+  /// [2, serve_workers]. Drawn *strictly last* (the property arrived
+  /// after every other knob), so every earlier field of historical
   /// (seed, index) cases stays byte-identical. < 2 disables the draw.
   int serve_workers = 3;
 };
@@ -67,9 +61,6 @@ struct FuzzCase {
   /// Empty (or all-at-t=0) for batch cases; staggered streams drive the
   /// oracle's online differential property.
   online::ArrivalPlan arrivals;
-  /// Scheduler threads the `par` property runs the parallel engine with
-  /// (HeteroPrioOptions::threads). 0 disables the property for this case.
-  int par_threads = 0;
   /// Service workers the `serve` property routes the case through
   /// (ServiceOptions::workers). 0 disables the property for this case.
   int serve_workers = 0;

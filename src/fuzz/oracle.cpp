@@ -37,7 +37,7 @@ constexpr PropEntry kProps[] = {
     {kPropRefDiff, "ref-diff"},      {kPropScale, "scale"},
     {kPropPermute, "permute"},       {kPropSpareCrash, "spare-crash"},
     {kPropFaultAccount, "fault-account"}, {kPropOnline, "online"},
-    {kPropPar, "par"},                    {kPropServe, "serve"},
+    {kPropServe, "serve"},
 };
 
 /// One scheduler run of a case: schedule, recovery outcome, event stream.
@@ -622,71 +622,6 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
                  " + unfinished " +
                  std::to_string(stag_stats.recovery.tasks_unfinished) +
                  " != " + std::to_string(c.graph.size()));
-      }
-    }
-  }
-
-  if ((options.props & kPropPar) && engine && c.par_threads >= 2) {
-    // Leg one, always: under the canonical tie-break the parallel engine is
-    // bitwise-identical to the sequential run — including the cases that
-    // delegate (DAGs, fault plans), where `threads` must be a strict no-op.
-    ++verdict.properties_checked;
-    HeteroPrioOptions o = hp_options(c, sched, nullptr);
-    o.threads = c.par_threads;
-    o.canonical = true;
-    HeteroPrioStats par_stats;
-    const Schedule canonical =
-        c.is_dag() ? heteroprio_dag(c.graph, c.platform, o, &par_stats)
-                   : heteroprio(tasks, c.platform, o, &par_stats);
-    std::string why;
-    if (!same_schedule(run.schedule, canonical, &why)) {
-      fail("par", "canonical parallel run (threads=" +
-                      std::to_string(c.par_threads) +
-                      ") diverges from sequential: " + why);
-    }
-    if (faulty && !(par_stats.recovery == run.recovery)) {
-      fail("par", "canonical parallel recovery diverges from sequential");
-    }
-
-    // Leg two, fault-free independent cases: free-running mode races the
-    // shards, so placements may differ — but the schedule must stay valid
-    // and complete, the aborted-segment bookkeeping consistent, and (with
-    // spoliation, where the end-game pass restores the last-task
-    // inequality) the makespan within the proven ratios.
-    if (!faulty && !c.is_dag() && !tasks.empty()) {
-      o.canonical = false;
-      HeteroPrioStats free_stats;
-      const Schedule free_run = heteroprio(tasks, c.platform, o, &free_stats);
-      ScheduleCheckOptions sc;
-      sc.tol = options.tol;
-      const ScheduleCheck check =
-          check_schedule(free_run, tasks, c.platform, sc);
-      if (!check.ok) {
-        fail("par", "free-running schedule invalid: " + check.message);
-      }
-      if (!free_run.complete()) {
-        fail("par", "free-running schedule left tasks unplaced");
-      }
-      if (sched == SchedulerId::kHpNoSpol && !free_run.aborted().empty()) {
-        fail("par", "free-running no-spoliation run recorded " +
-                        std::to_string(free_run.aborted().size()) +
-                        " aborted segments");
-      }
-      if (static_cast<std::size_t>(free_stats.spoliations) !=
-          free_run.aborted().size()) {
-        fail("par", "free-running spoliation counter " +
-                        std::to_string(free_stats.spoliations) +
-                        " != " + std::to_string(free_run.aborted().size()) +
-                        " aborted segments");
-      }
-      if (sched == SchedulerId::kHp) {
-        const obs::BoundCheck bc = obs::check_makespan_bound(
-            free_run.makespan(), lb, c.platform, {});
-        if (bc.violated) {
-          fail("par", std::string("free-running run breaks the proven "
-                                  "ratio: ") +
-                          obs::describe(bc));
-        }
       }
     }
   }

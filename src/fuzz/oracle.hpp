@@ -41,14 +41,6 @@
 //                 watermarks the zero-silent-drop accounting identity holds
 //                 (every submission answered, completed + rejected ==
 //                 submitted, deferred requests never lost)
-//   par           HeteroPrio only, cases carrying par_threads >= 2: the
-//                 parallel engine under the canonical tie-break is
-//                 bitwise-identical to the sequential run (placements,
-//                 aborted segments, recovery — delegating cases included);
-//                 free-running mode on fault-free independent cases must
-//                 stay valid and complete, keep the aborted-segment
-//                 bookkeeping consistent, and hold the proven makespan
-//                 ratios (spoliating runs)
 
 #include <cstdint>
 #include <string>
@@ -77,9 +69,8 @@ enum PropertyBits : unsigned {
   kPropSpareCrash = 1u << 7,
   kPropFaultAccount = 1u << 8,
   kPropOnline = 1u << 9,
-  kPropPar = 1u << 10,
-  kPropServe = 1u << 11,
-  kPropAll = (1u << 12) - 1,
+  kPropServe = 1u << 10,
+  kPropAll = (1u << 11) - 1,
 };
 
 /// Name of a single property bit ("validity", "ratio", ...).

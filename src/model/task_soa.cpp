@@ -59,10 +59,12 @@ void pack_descending_keys(std::span<const double> accel,
 #endif
 }
 
+namespace {
+
+/// All priorities bitwise equal. Bit compare: NaN-safe, +0/-0 distinct on
+/// purpose — a false negative only costs the wider element, never
+/// correctness.
 bool uniform_priority_bits(std::span<const Task> tasks) noexcept {
-  // Bit compare, exactly like build_task_soa (NaN-safe, +0/-0 distinct on
-  // purpose: a false negative only costs the wider element, never
-  // correctness).
   const std::size_t n = tasks.size();
   std::uint64_t first_bits = 0;
   if (n != 0) std::memcpy(&first_bits, &tasks[0].priority, sizeof first_bits);
@@ -74,13 +76,14 @@ bool uniform_priority_bits(std::span<const Task> tasks) noexcept {
   return true;
 }
 
-SortKeys build_sort_keys_shard(std::span<const Task> tasks,
-                               bool uniform_priority, std::uint32_t id_offset,
-                               util::Arena& arena) {
+}  // namespace
+
+SortKeys build_sort_keys(std::span<const Task> tasks, util::Arena& arena) {
   const std::size_t n = tasks.size();
   SortKeys keys;
   keys.size = n;
-  keys.uniform_priority = uniform_priority;
+  // Uniformity decides the element shape, so scan it first.
+  keys.uniform_priority = uniform_priority_bits(tasks);
 
   // Fused blockwise pass: divide into a stack block, SIMD-pack key0 over
   // it, emit the sortable elements. Block boundaries don't change the
@@ -97,8 +100,8 @@ SortKeys build_sort_keys_shard(std::span<const Task> tasks,
       }
       pack_descending_keys({accel, len}, {key0, len});
       for (std::size_t j = 0; j < len; ++j) {
-        keys.key_id[base + j] = util::KeyId{
-            key0[j], static_cast<std::uint32_t>(base + j) + id_offset};
+        keys.key_id[base + j] =
+            util::KeyId{key0[j], static_cast<std::uint32_t>(base + j)};
       }
     }
   } else {
@@ -113,16 +116,11 @@ SortKeys build_sort_keys_shard(std::span<const Task> tasks,
         const std::uint64_t k = ordered_key(tasks[base + j].priority);
         keys.key2_id[base + j] =
             util::KeyId2{key0[j], accel[j] >= 1.0 ? ~k : k,
-                         static_cast<std::uint32_t>(base + j) + id_offset};
+                         static_cast<std::uint32_t>(base + j)};
       }
     }
   }
   return keys;
-}
-
-SortKeys build_sort_keys(std::span<const Task> tasks, util::Arena& arena) {
-  // Uniformity decides the element shape, so scan it first.
-  return build_sort_keys_shard(tasks, uniform_priority_bits(tasks), 0, arena);
 }
 
 TaskSoA build_task_soa(std::span<const Task> tasks, util::Arena& arena) {
@@ -144,20 +142,6 @@ TaskSoA build_task_soa(std::span<const Task> tasks, util::Arena& arena) {
 
   pack_descending_keys({accel, n}, {key0, n});
 
-  bool uniform = true;
-  if (n != 0) {
-    std::uint64_t first_bits;
-    std::memcpy(&first_bits, &priority[0], sizeof first_bits);
-    for (std::size_t i = 1; i < n; ++i) {
-      std::uint64_t bits;
-      std::memcpy(&bits, &priority[i], sizeof bits);
-      if (bits != first_bits) {
-        uniform = false;
-        break;
-      }
-    }
-  }
-
   // key1 direction flips with rho >= 1 (§2.2). Within a key0 tie group rho
   // is bit-identical, so the direction agrees across the group and the
   // packed compare matches the reference comparator.
@@ -173,7 +157,7 @@ TaskSoA build_task_soa(std::span<const Task> tasks, util::Arena& arena) {
   soa.priority = {priority, n};
   soa.key0 = {key0, n};
   soa.key1 = {key1, n};
-  soa.uniform_priority = uniform;
+  soa.uniform_priority = uniform_priority_bits(tasks);
   return soa;
 }
 

@@ -92,22 +92,6 @@ struct SortKeys {
 [[nodiscard]] SortKeys build_sort_keys(std::span<const Task> tasks,
                                        util::Arena& arena);
 
-/// The bitwise priority-uniformity scan build_sort_keys applies to its whole
-/// span. Exposed so the parallel sharded build (src/par) can make the
-/// element-shape decision globally before fanning the per-shard key packs
-/// out — shards must agree or their sorted runs could not be merged.
-[[nodiscard]] bool uniform_priority_bits(std::span<const Task> tasks) noexcept;
-
-/// build_sort_keys with the element shape forced and `id_offset` added to
-/// the preloaded ids, so a shard-local span emits global task ids. The key
-/// arithmetic is bit-identical to build_sort_keys; calling it with
-/// uniform = uniform_priority_bits(tasks) and id_offset = 0 is the same
-/// function.
-[[nodiscard]] SortKeys build_sort_keys_shard(std::span<const Task> tasks,
-                                             bool uniform_priority,
-                                             std::uint32_t id_offset,
-                                             util::Arena& arena);
-
 /// Batched key0 pack: out[i] = descending_key(accel[i]). Exposed separately
 /// for the SIMD micro-benchmark; uses the SSE2 path when it is compiled in.
 void pack_descending_keys(std::span<const double> accel,

@@ -5,9 +5,9 @@
 // Built for the single-writer hot path: Histogram::record() is a handful of
 // integer operations on a fixed-size bucket array — no allocation, no
 // locking, no atomics. Aggregation across writers is explicit: each thread
-// owns its instance and merge() combines them once a parallel engine lands
-// (ROADMAP item 2). That split keeps today's serial engines free of
-// synchronization cost while fixing the API the parallel engine will use.
+// owns its instance and merge() combines them afterwards (the service
+// merges its per-worker registries this way). That split keeps the engines
+// free of synchronization cost.
 //
 // Bucket layout and error bound. A histogram covers [2^min_exp, 2^max_exp)
 // with S = 2^sub_bits linearly spaced sub-buckets per power of two, plus an

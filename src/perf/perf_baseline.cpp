@@ -6,7 +6,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -62,9 +61,8 @@ void append_json_series(std::ostringstream& out, const PerfSeries& s,
   if (!first) out << ",";
   out << "\n    {\"algorithm\": \"" << s.algorithm << "\", "
       << "\"workload\": \"independent-uniform\", "
-      << "\"n\": " << s.n << ", ";
-  if (s.threads > 0) out << "\"threads\": " << s.threads << ", ";
-  out << "\"seconds\": " << s.seconds << ", "
+      << "\"n\": " << s.n << ", "
+      << "\"seconds\": " << s.seconds << ", "
       << "\"tasks_per_sec\": " << s.tasks_per_sec << "}";
 }
 
@@ -119,30 +117,6 @@ PerfBaseline run_perf_baseline(const PerfBaselineOptions& options) {
     out.speedup_vs_reference = hp_best_rate / ref_best_rate;
   }
 
-  // Parallel-scaling series: the parallel engine in free-running mode at
-  // each thread count. W=1 delegates to the sequential engine, anchoring
-  // the perf-check parity gate; higher W exercise the sharded ready
-  // structure and work-stealing for real.
-  for (const std::size_t n : options.parallel_sizes) {
-    const Instance inst = make_instance(n);
-    const auto tasks = inst.tasks();
-    for (const int threads : options.parallel_threads) {
-      if (threads < 1) continue;
-      HeteroPrioOptions hp_options;
-      hp_options.threads = threads;
-      hp_options.canonical = false;
-      const double secs = time_best(out.repetitions, [&] {
-        (void)heteroprio(tasks, options.platform, hp_options);
-      });
-      const double rate = static_cast<double>(n) / secs;
-      out.series.push_back(PerfSeries{"HeteroPrio-par", n, secs, rate,
-                                      threads});
-      note("HeteroPrio-par n=" + std::to_string(n) + " W=" +
-           std::to_string(threads) + ": " + std::to_string(rate / 1e6) +
-           "M tasks/s");
-    }
-  }
-
   if (largest_n != 0) {
     // One untimed instrumented run: the counters travel with the throughput
     // numbers they describe, without perturbing the timed loops above.
@@ -187,7 +161,7 @@ std::string perf_baseline_to_json(const PerfBaseline& baseline) {
   std::ostringstream out;
   out.precision(10);
   out << "{\n"
-      << "  \"schema\": \"hp-bench-core/v3\",\n"
+      << "  \"schema\": \"hp-bench-core/v4\",\n"
       << "  \"layout\": \"soa\",\n"
       << "  \"platform\": {\"cpus\": " << baseline.platform.cpus()
       << ", \"gpus\": " << baseline.platform.gpus() << "},\n"
@@ -237,17 +211,15 @@ bool write_perf_baseline_json(const PerfBaseline& baseline,
 
 bool validate_perf_baseline_json(const std::string& json_text,
                                  const std::vector<std::size_t>& sizes,
-                                 std::string* error,
-                                 const std::vector<std::size_t>& parallel_sizes,
-                                 const std::vector<int>& parallel_threads) {
+                                 std::string* error) {
   const auto fail = [&](const std::string& why) {
     if (error != nullptr) *error = why;
     return false;
   };
   if (!jsonscan::balanced_json(json_text, error)) return false;
   if (jsonscan::string_field(json_text, "schema").value_or("") !=
-      "hp-bench-core/v3") {
-    return fail("missing or wrong schema tag (want hp-bench-core/v3)");
+      "hp-bench-core/v4") {
+    return fail("missing or wrong schema tag (want hp-bench-core/v4)");
   }
   if (jsonscan::string_field(json_text, "layout").value_or("") != "soa") {
     return fail("missing layout tag (v2 documents record the engine layout)");
@@ -255,34 +227,21 @@ bool validate_perf_baseline_json(const std::string& json_text,
   if (!jsonscan::number_field(json_text, "high_water_bytes").has_value()) {
     return fail("missing arena footprint (v2 field arena.high_water_bytes)");
   }
-  const std::optional<double> hw_field =
-      jsonscan::number_field(json_text, "hardware_threads");
-  if (!hw_field.has_value()) {
+  if (!jsonscan::number_field(json_text, "hardware_threads").has_value()) {
     return fail("missing hardware_threads (v3 documents record the "
                 "measuring machine's concurrency)");
   }
-  const int hardware_threads = static_cast<int>(*hw_field);
 
   // Tick off expected entries in whatever order the series array holds them.
   struct Expected {
     std::string algorithm;
     std::size_t n;
-    int threads;  // 0 = single-threaded algorithm (no "threads" field)
     bool seen = false;
   };
   std::vector<Expected> expected;
   for (const char* algo : {"HeteroPrio", "DualHP", "HEFT"}) {
-    for (const std::size_t n : sizes) expected.push_back({algo, n, 0, false});
+    for (const std::size_t n : sizes) expected.push_back({algo, n, false});
   }
-  for (const std::size_t n : parallel_sizes) {
-    for (const int w : parallel_threads) {
-      expected.push_back({"HeteroPrio-par", n, w, false});
-    }
-  }
-
-  // Rates by (n, threads) for the parallel-scaling gates; threads=0 holds
-  // the sequential HeteroPrio entry the W=1 parity gate compares against.
-  std::map<std::pair<std::size_t, int>, double> hp_rates;
 
   std::string entry_error;
   const bool walked = jsonscan::for_each_array_object(
@@ -301,17 +260,11 @@ bool validate_perf_baseline_json(const std::string& json_text,
               "series entry for " + algo + " has no positive tasks_per_sec";
           return;
         }
-        const int threads = static_cast<int>(
-            jsonscan::number_field(obj, "threads").value_or(0.0));
         for (Expected& e : expected) {
-          if (e.algorithm == algo && static_cast<double>(e.n) == *n &&
-              e.threads == threads) {
+          if (e.algorithm == algo && static_cast<double>(e.n) == *n) {
             e.seen = true;
           }
         }
-        const auto size_n = static_cast<std::size_t>(*n);
-        if (algo == "HeteroPrio") hp_rates[{size_n, 0}] = *rate;
-        if (algo == "HeteroPrio-par") hp_rates[{size_n, threads}] = *rate;
       });
   if (!walked) return fail("missing series array");
   if (!entry_error.empty()) return fail(entry_error);
@@ -323,46 +276,8 @@ bool validate_perf_baseline_json(const std::string& json_text,
     if (e.seen) continue;
     if (!missing.empty()) missing += ", ";
     missing += e.algorithm + " at n=" + std::to_string(e.n);
-    if (e.threads > 0) missing += " W=" + std::to_string(e.threads);
   }
   if (!missing.empty()) return fail("missing series: " + missing);
-
-  // Parallel-scaling gates. Parity always holds (W=1 delegates to the
-  // sequential engine, so any gap is pure dispatch overhead); the monotone
-  // gates only arm as far as the machine that produced the file could
-  // actually run threads in parallel.
-  for (const std::size_t n : parallel_sizes) {
-    const auto seq = hp_rates.find({n, 0});
-    const auto w1 = hp_rates.find({n, 1});
-    if (seq != hp_rates.end() && w1 != hp_rates.end() &&
-        w1->second < 0.95 * seq->second) {
-      std::ostringstream oss;
-      oss.precision(4);
-      oss << "W=1 parity broken at n=" << n << ": HeteroPrio-par W=1 runs at "
-          << (w1->second / seq->second) << "x of sequential HeteroPrio "
-          << "(floor 0.95)";
-      return fail(oss.str());
-    }
-    std::vector<int> gated;
-    for (const int w : parallel_threads) {
-      if (w >= 1 && w <= 4 && w <= hardware_threads) gated.push_back(w);
-    }
-    std::sort(gated.begin(), gated.end());
-    for (std::size_t i = 1; i < gated.size(); ++i) {
-      const auto lo = hp_rates.find({n, gated[i - 1]});
-      const auto hi = hp_rates.find({n, gated[i]});
-      if (lo == hp_rates.end() || hi == hp_rates.end()) continue;
-      if (hi->second <= lo->second) {
-        std::ostringstream oss;
-        oss.precision(4);
-        oss << "speedup not monotone at n=" << n << ": W=" << gated[i]
-            << " (" << hi->second << " tasks/s) does not beat W="
-            << gated[i - 1] << " (" << lo->second << " tasks/s) on a "
-            << hardware_threads << "-thread machine";
-        return fail(oss.str());
-      }
-    }
-  }
   return true;
 }
 

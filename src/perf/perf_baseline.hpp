@@ -28,34 +28,23 @@ struct PerfBaselineOptions {
   bool include_sweep = true;
   int sweep_threads = 0;          ///< 1 = serial, <= 0 = all cores
   std::vector<int> sweep_tiles = {4, 8, 12, 16};
-  /// Parallel-scaling series (the v3 addition): time the parallel engine
-  /// (free-running mode, par::heteroprio_par_run) at each W in
-  /// `parallel_threads` for each n in `parallel_sizes`. W=1 delegates to
-  /// the sequential engine and anchors the parity gate of perf-check.
-  /// Empty `parallel_sizes` disables the series.
-  std::vector<int> parallel_threads = {1, 2, 4, 8};
-  std::vector<std::size_t> parallel_sizes = {100000, 1000000};
   bool verbose = false;           ///< progress lines on stderr
 };
 
 /// One measured point: schedule construction for `n` independent tasks.
 struct PerfSeries {
-  /// HeteroPrio | DualHP | HEFT | HeteroPrio-ref | HeteroPrio-par
+  /// HeteroPrio | DualHP | HEFT | HeteroPrio-ref
   std::string algorithm;
   std::size_t n = 0;
   double seconds = 0.0;        ///< best-of-repetitions wall time
   double tasks_per_sec = 0.0;  ///< n / seconds
-  /// Scheduler threads of a HeteroPrio-par entry (the parallel-scaling
-  /// series); 0 for the single-threaded algorithms.
-  int threads = 0;
 };
 
 struct PerfBaseline {
   Platform platform{20, 4};
   int repetitions = 0;
-  /// std::thread::hardware_concurrency() of the measuring machine; the
-  /// perf-check scaling gates only arm when this grants the parallelism
-  /// they assert (a 1-core CI box cannot be expected to speed up).
+  /// std::thread::hardware_concurrency() of the measuring machine, so
+  /// documents from different machines are never compared blind.
   int hardware_threads = 0;
   std::vector<PerfSeries> series;
   /// Optimized / reference tasks-per-sec at the largest measured n
@@ -84,7 +73,7 @@ struct PerfBaseline {
 /// timings via steady_clock.
 [[nodiscard]] PerfBaseline run_perf_baseline(const PerfBaselineOptions& options);
 
-/// Serialize to the BENCH_core.json document (schema "hp-bench-core/v3").
+/// Serialize to the BENCH_core.json document (schema "hp-bench-core/v4").
 [[nodiscard]] std::string perf_baseline_to_json(const PerfBaseline& baseline);
 
 /// Write the JSON document to `path`. Returns false on I/O failure.
@@ -92,26 +81,13 @@ bool write_perf_baseline_json(const PerfBaseline& baseline,
                               const std::string& path);
 
 /// Validate an emitted BENCH_core.json: the document must parse, carry the
-/// v3 schema tag with its layout/arena/hardware_threads fields, and contain
+/// v4 schema tag with its layout/arena/hardware_threads fields, and contain
 /// a series entry with a positive tasks_per_sec for every (algorithm in
 /// {HeteroPrio, DualHP, HEFT}, n in `sizes`) pair, in any order. On failure
 /// returns false and `*error` names every missing series (algorithm and n),
 /// not just the first.
-///
-/// When `parallel_sizes` is non-empty the document must additionally carry a
-/// HeteroPrio-par entry for every (W in `parallel_threads`, n in
-/// `parallel_sizes`) pair, and the parallel-scaling gates arm — but only as
-/// far as the recorded hardware_threads justifies them:
-///   * W=1 parity: the W=1 entry stays within 5% of the sequential
-///     HeteroPrio entry at the same n (always checked; W=1 delegates).
-///   * monotone speedup through W=4: each measured W in (1, 4] with
-///     W <= hardware_threads must beat the previous such W.
-/// A 1-core machine therefore only gets the parity gate; the scaling gates
-/// self-disable rather than fail vacuously.
 bool validate_perf_baseline_json(const std::string& json_text,
                                  const std::vector<std::size_t>& sizes,
-                                 std::string* error,
-                                 const std::vector<std::size_t>& parallel_sizes = {},
-                                 const std::vector<int>& parallel_threads = {});
+                                 std::string* error);
 
 }  // namespace hp::perf

@@ -24,15 +24,7 @@ std::optional<std::string> series_key(const std::string& obj) {
   }
   const auto n = jsonscan::number_field(obj, "n");
   if (!n.has_value()) return std::nullopt;
-  std::string key = algo + " n=" + std::to_string(static_cast<long long>(*n));
-  // Parallel-scaling entries exist at several thread counts per n; the
-  // thread count is part of their identity or the --against join would
-  // collapse the whole scaling curve into one ambiguous series.
-  if (const auto threads = jsonscan::number_field(obj, "threads");
-      threads.has_value() && *threads > 0.0) {
-    key += " W=" + std::to_string(static_cast<long long>(*threads));
-  }
-  return key;
+  return algo + " n=" + std::to_string(static_cast<long long>(*n));
 }
 
 }  // namespace

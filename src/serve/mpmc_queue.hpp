@@ -1,8 +1,7 @@
 #pragma once
 // Lock-free MPMC intake queue for the scheduling service: a linked list of
 // fixed-capacity ring segments (the BLQueue/RingsQueue family), with
-// `util::StripedEpoch` guarding segment reclamation — the same scheme the
-// parallel engine uses for its ready blocks.
+// `util::StripedEpoch` guarding segment reclamation.
 //
 // Each segment hands out enqueue/dequeue tickets with fetch_add; ticket t
 // maps to slot t of the segment. A slot is a tiny state machine:

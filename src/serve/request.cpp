@@ -57,7 +57,6 @@ Response execute_request(const Request& request) {
       HeteroPrioOptions o;
       o.enable_spoliation = request.backend == Backend::kHp;
       if (faulty) o.faults = &request.faults;
-      o.threads = request.engine_threads;
       HeteroPrioStats stats;
       response.schedule =
           dag ? heteroprio_dag(request.graph, request.platform, o, &stats)

@@ -9,7 +9,7 @@
 // (with or without spoliation) natively — faults handled online by the
 // engine — and HEFT/DualHP as static plans replayed through
 // fault::execute_plan_with_faults when a plan is present. That purity is
-// what the 12th oracle property (`serve`) and the driver's --verify mode
+// what the `serve` oracle property and the driver's --verify mode
 // assert: a schedule computed through the service — any worker, any
 // batching, any admission pressure — is bitwise-identical to the direct
 // engine call.
@@ -44,8 +44,6 @@ struct Request {
   Platform platform{1, 1};
   /// Empty = fault-free run.
   fault::FaultPlan faults;
-  /// HeteroPrio engine threads (HeteroPrioOptions::threads); 1 = sequential.
-  int engine_threads = 1;
 };
 
 enum class ResponseStatus : std::uint8_t {

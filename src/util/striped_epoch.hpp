@@ -1,14 +1,15 @@
 #pragma once
 // Striped epoch-based reclamation for retired blocks shared across threads.
 //
-// The parallel scheduler engine (src/par) publishes sorted ready blocks that
-// worker threads read concurrently while stealing. When a shard drains a
-// block and swaps in a fresh one, the old block's memory cannot be recycled
-// until every thread that might still hold a raw pointer into it has moved
-// on. Full hazard pointers are overkill for that pattern — readers touch a
-// block only between two scheduling decisions — so we use the classic
-// epoch scheme, striped per participant to keep the hot path to one relaxed
-// load + one release store on a thread-private cache line:
+// The scheduling service's lock-free intake queue (serve/mpmc_queue.hpp)
+// links fixed-capacity ring segments that producers and consumers read
+// concurrently. When a consumer moves the head past a drained segment, the
+// segment's memory cannot be recycled until every thread that might still
+// hold a raw pointer into it has moved on. Full hazard pointers are
+// overkill for that pattern — threads touch a segment only inside one push
+// or pop — so we use the classic epoch scheme, striped per participant to
+// keep the hot path to one relaxed load + one release store on a
+// thread-private cache line:
 //
 //   * A global epoch counter advances by 1 whenever someone retires memory.
 //   * Each participant slot records the epoch it observed when it entered
@@ -18,11 +19,11 @@
 //     before the retirement.
 //
 // Reclamation here means "hand the block back to the owner", not free():
-// the par engine keeps blocks in arena-style pools, so `try_reclaim`
-// returns the retired records whose grace period has elapsed and the
-// caller recycles them. Bounded usage (blocks per run <= tasks) means we
-// never need a forced flush; `drain` exists for end-of-run teardown when
-// all participants have left.
+// the queue keeps segments in a pooled freelist, so `try_reclaim` returns
+// the retired records whose grace period has elapsed and the caller
+// recycles them. Retired segments are reclaimed opportunistically whenever
+// a new one is needed, so no forced flush is required; `drain` exists for
+// teardown when all participants have left.
 
 #include <atomic>
 #include <cstddef>
@@ -58,8 +59,8 @@ class StripedEpoch {
   void leave(std::size_t slot) noexcept;
 
   /// Record `block` as retired in the current epoch and advance the global
-  /// epoch. Called by the thread that swapped the block out of the shard;
-  /// callers may be inside their own critical region.
+  /// epoch. Called by the thread that unlinked the block from the shared
+  /// structure; callers may be inside their own critical region.
   void retire(std::size_t slot, void* block);
 
   /// Move every retired block whose grace period has elapsed into `out`
@@ -98,8 +99,8 @@ class StripedEpoch {
   unsigned char* stripes_;
   std::atomic<Epoch> global_epoch_{1};
 
-  // Retire list is mutex-free only in the common case of the par engine
-  // (single retiring shard owner); cross-thread retires share this spinlock.
+  // Retires from any participant share this spinlock; they happen once per
+  // drained block, far off the per-operation hot path.
   std::atomic_flag retired_lock_ = ATOMIC_FLAG_INIT;
   std::vector<Retired> retired_;
 };

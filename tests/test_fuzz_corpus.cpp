@@ -42,35 +42,6 @@ TEST(FuzzCorpus, RoundTripsThroughText) {
   EXPECT_EQ(back.c.faults, entry.c.faults);
 }
 
-TEST(FuzzCorpus, ParDirectiveRoundTripsAndValidates) {
-  // A case carrying par_threads emits "# par: threads=N" and reads it back.
-  CorpusCase entry;
-  entry.c = generate_case(55, 4);
-  entry.c.par_threads = 3;
-  entry.props = kPropValidity | kPropPar;
-  const std::string text = corpus_to_text(entry);
-  EXPECT_NE(text.find("# par: threads=3"), std::string::npos) << text;
-
-  CorpusCase back;
-  std::string error;
-  ASSERT_TRUE(corpus_from_text(text, &back, &error)) << error;
-  EXPECT_EQ(back.c.par_threads, 3);
-  EXPECT_EQ(back.props, entry.props);
-
-  // par_threads == 0 (the historical default) emits no directive at all,
-  // so pre-existing corpus files are byte-stable.
-  entry.c.par_threads = 0;
-  EXPECT_EQ(corpus_to_text(entry).find("# par:"), std::string::npos);
-
-  // Malformed directives are named, not ignored.
-  CorpusCase bad;
-  EXPECT_FALSE(
-      corpus_from_text("# par: threads=1\ntask 1 1\n", &bad, &error));
-  EXPECT_NE(error.find("threads"), std::string::npos) << error;
-  EXPECT_FALSE(corpus_from_text("# par: wat=2\ntask 1 1\n", &bad, &error));
-  EXPECT_NE(error.find("wat"), std::string::npos) << error;
-}
-
 TEST(FuzzCorpus, RejectsMalformedDirectives) {
   CorpusCase out;
   std::string error;

@@ -8,7 +8,7 @@
 // peer is mid-operation, so drains loop until the accounting balances.
 //
 // MpmcQueue.* runs in the `serve`-labeled aggregate, which the
-// ThreadSanitizer CI job executes alongside `-L par`.
+// ThreadSanitizer CI job executes alongside `-L concurrency`.
 
 #include <gtest/gtest.h>
 

@@ -1,14 +1,11 @@
 // perf-check reporting (perf/perf_compare.hpp) and the BENCH validators:
 // series are joined by identity across reordered documents, regressions and
 // disappearances are named with deltas, and the validators list every
-// missing series instead of failing on the first. The v3 core validator
-// additionally gates the parallel-scaling series (W=1 parity, monotone
-// speedup) against the recorded hardware_threads.
+// missing series instead of failing on the first.
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "perf/perf_baseline.hpp"
@@ -20,7 +17,7 @@ namespace {
 
 std::string core_doc(double hp_rate, double heft_rate, bool with_dual = true) {
   std::string out = R"({
-  "schema": "hp-bench-core/v3",
+  "schema": "hp-bench-core/v4",
   "layout": "soa",
   "hardware_threads": 8,
   "arena": {"reserved_bytes": 1048576, "high_water_bytes": 524288},
@@ -34,35 +31,6 @@ std::string core_doc(double hp_rate, double heft_rate, bool with_dual = true) {
   }
   out += "    {\"algorithm\": \"HEFT\", \"n\": 1000, \"tasks_per_sec\": " +
          std::to_string(heft_rate) + "}\n  ]\n}\n";
-  return out;
-}
-
-/// A v3 document with a parallel-scaling curve at n=1000: sequential
-/// HeteroPrio at `seq_rate`, HeteroPrio-par entries at each (W, rate) pair.
-std::string par_doc(double seq_rate,
-                    const std::vector<std::pair<int, double>>& par,
-                    int hardware_threads = 8) {
-  std::string out = "{\n  \"schema\": \"hp-bench-core/v3\",\n"
-                    "  \"layout\": \"soa\",\n"
-                    "  \"hardware_threads\": " +
-                    std::to_string(hardware_threads) +
-                    ",\n"
-                    "  \"arena\": {\"reserved_bytes\": 1048576, "
-                    "\"high_water_bytes\": 524288},\n"
-                    "  \"series\": [\n";
-  out += "    {\"algorithm\": \"HeteroPrio\", \"n\": 1000, \"tasks_per_sec\": " +
-         std::to_string(seq_rate) + "},\n";
-  out += "    {\"algorithm\": \"DualHP\", \"n\": 1000, \"tasks_per_sec\": "
-         "200000.0},\n";
-  out += "    {\"algorithm\": \"HEFT\", \"n\": 1000, \"tasks_per_sec\": "
-         "5000000.0}";
-  for (const auto& [w, rate] : par) {
-    out += ",\n    {\"algorithm\": \"HeteroPrio-par\", \"n\": 1000, "
-           "\"threads\": " +
-           std::to_string(w) + ", \"tasks_per_sec\": " + std::to_string(rate) +
-           "}";
-  }
-  out += "\n  ]\n}\n";
   return out;
 }
 
@@ -103,7 +71,7 @@ TEST(PerfCompare, ToleratesReorderedSeries) {
   // Same entries, reversed order: everything joins by key, nothing flags.
   const std::string forward = core_doc(1e7, 5e6);
   const std::string reversed = R"({
-  "schema": "hp-bench-core/v3",
+  "schema": "hp-bench-core/v4",
   "layout": "soa",
   "hardware_threads": 8,
   "arena": {"reserved_bytes": 1048576, "high_water_bytes": 524288},
@@ -133,7 +101,7 @@ TEST(PerfCompare, ImprovementsAndAdditionsAreReportedNotFatal) {
   EXPECT_EQ(cmp.added[0], "HeteroPrio n=5000");
 }
 
-TEST(PerfValidate, AcceptsCompleteV3CoreDocument) {
+TEST(PerfValidate, AcceptsCompleteV4CoreDocument) {
   std::string error;
   EXPECT_TRUE(validate_perf_baseline_json(core_doc(1e7, 5e6), {1000}, &error))
       << error;
@@ -153,9 +121,9 @@ TEST(PerfValidate, ListsAllMissingCoreSeries) {
 TEST(PerfValidate, RejectsOldSchemaMissingArenaAndMissingHardwareThreads) {
   std::string error;
   std::string doc = core_doc(1e7, 5e6);
-  std::string v2 = doc;
-  v2.replace(v2.find("hp-bench-core/v3"), 16, "hp-bench-core/v2");
-  EXPECT_FALSE(validate_perf_baseline_json(v2, {1000}, &error));
+  std::string v3 = doc;
+  v3.replace(v3.find("hp-bench-core/v4"), 16, "hp-bench-core/v3");
+  EXPECT_FALSE(validate_perf_baseline_json(v3, {1000}, &error));
   EXPECT_NE(error.find("schema"), std::string::npos);
 
   std::string no_arena = doc;
@@ -166,73 +134,6 @@ TEST(PerfValidate, RejectsOldSchemaMissingArenaAndMissingHardwareThreads) {
   no_hw.replace(no_hw.find("hardware_threads"), 16, "other_field_name");
   EXPECT_FALSE(validate_perf_baseline_json(no_hw, {1000}, &error));
   EXPECT_NE(error.find("hardware_threads"), std::string::npos) << error;
-}
-
-TEST(PerfValidate, ParallelSeriesMustBeCompleteWhenRequested) {
-  // Complete curve passes; asking for a W the document lacks names it.
-  std::string error;
-  const std::string doc = par_doc(
-      1e7, {{1, 1e7}, {2, 1.6e7}, {4, 2.5e7}, {8, 3.2e7}});
-  EXPECT_TRUE(validate_perf_baseline_json(doc, {1000}, &error, {1000},
-                                          {1, 2, 4, 8}))
-      << error;
-  EXPECT_FALSE(validate_perf_baseline_json(doc, {1000}, &error, {1000},
-                                           {1, 2, 4, 8, 16}));
-  EXPECT_NE(error.find("HeteroPrio-par at n=1000 W=16"), std::string::npos)
-      << error;
-}
-
-TEST(PerfValidate, W1ParityGateCatchesDispatchOverhead) {
-  // W=1 delegates to the sequential engine; a W=1 entry 20% below the
-  // sequential one means the parallel dispatch itself got expensive.
-  std::string error;
-  const std::string bad = par_doc(1e7, {{1, 8e6}, {2, 1.6e7}});
-  EXPECT_FALSE(
-      validate_perf_baseline_json(bad, {1000}, &error, {1000}, {1, 2}));
-  EXPECT_NE(error.find("parity"), std::string::npos) << error;
-
-  const std::string good = par_doc(1e7, {{1, 9.6e6}, {2, 1.6e7}});
-  EXPECT_TRUE(
-      validate_perf_baseline_json(good, {1000}, &error, {1000}, {1, 2}))
-      << error;
-}
-
-TEST(PerfValidate, MonotoneSpeedupGateArmsOnlyUpToHardwareThreads) {
-  // W=4 slower than W=2 on an 8-thread machine fails ...
-  std::string error;
-  const std::string inverted = par_doc(
-      1e7, {{1, 1e7}, {2, 1.6e7}, {4, 1.2e7}, {8, 3.2e7}}, 8);
-  EXPECT_FALSE(validate_perf_baseline_json(inverted, {1000}, &error, {1000},
-                                           {1, 2, 4, 8}));
-  EXPECT_NE(error.find("monotone"), std::string::npos) << error;
-
-  // ... but the same curve from a 1-core machine passes: the scaling gate
-  // self-disables when the hardware could never run the threads in parallel.
-  const std::string one_core = par_doc(
-      1e7, {{1, 1e7}, {2, 9e6}, {4, 8e6}, {8, 7e6}}, 1);
-  EXPECT_TRUE(validate_perf_baseline_json(one_core, {1000}, &error, {1000},
-                                          {1, 2, 4, 8}))
-      << error;
-
-  // W=8 beyond the W<=4 gate window never arms, even on a 16-thread box.
-  const std::string w8_flat = par_doc(
-      1e7, {{1, 1e7}, {2, 1.6e7}, {4, 2.5e7}, {8, 2.0e7}}, 16);
-  EXPECT_TRUE(validate_perf_baseline_json(w8_flat, {1000}, &error, {1000},
-                                          {1, 2, 4, 8}))
-      << error;
-}
-
-TEST(PerfCompare, ParallelEntriesJoinByThreadCount) {
-  // Two W entries at the same n must be distinct series in the join, or a
-  // regression at W=4 could hide behind an improvement at W=2.
-  const std::string doc = par_doc(1e7, {{2, 1.6e7}, {4, 2.5e7}});
-  const std::vector<SeriesPoint> points = extract_series(doc);
-  ASSERT_EQ(points.size(), 5u);
-  EXPECT_EQ(points[3].key, "HeteroPrio-par n=1000 W=2");
-  EXPECT_EQ(points[4].key, "HeteroPrio-par n=1000 W=4");
-  const PerfComparison cmp = compare_series(doc, doc, 0.25);
-  EXPECT_TRUE(cmp.ok());
-  EXPECT_EQ(cmp.unchanged.size(), 5u);
 }
 
 std::string dag_doc(bool with_heft) {

@@ -5,7 +5,7 @@
 // looked like).
 //
 // ServeService.* runs in the `serve`-labeled aggregate, which the
-// ThreadSanitizer CI job executes alongside `-L par`.
+// ThreadSanitizer CI job executes alongside `-L concurrency`.
 
 #include <gtest/gtest.h>
 

@@ -1,5 +1,5 @@
 // Tests for util/striped_epoch: the grace-period scheme protecting retired
-// ready blocks in the parallel engine (src/par). The safety contract under
+// ring segments of the service's intake queue. The safety contract under
 // test: a block retired while some participant is inside a critical region
 // it entered *before* the retirement must not be reclaimable until that
 // participant leaves — the participant may still hold a raw pointer into

@@ -102,7 +102,6 @@ int usage() {
       "  hp_sched schedule --in FILE --cpus M --gpus N\n"
       "           [--algo hp|hp-nospol|heft|dualhp|online-eft|online-threshold|online-balance]\n"
       "           [--rank avg|min|fifo] [--gantt] [--svg FILE] [--trace FILE]\n"
-      "           [--threads N] [--free-running]   (hp/hp-nospol, independent)\n"
       "  hp_sched trace    --in FILE --cpus M --gpus N [--algo ...] [--rank ...]\n"
       "           [--out FILE.json] [--csv FILE.csv]\n"
       "  hp_sched report   --in FILE --cpus M --gpus N [--algo ...] [--rank ...]\n"
@@ -361,26 +360,11 @@ std::optional<RunResult> run_algorithm(const Args& args,
       return std::nullopt;
     }
     result.lower_bound = opt_lower_bound(inst->tasks(), platform);
-    // Parallel engine wiring: --threads N routes hp/hp-nospol through
-    // par::heteroprio_par_run; --free-running drops the canonical bitwise
-    // contract for throughput. The parallel fast path records no events,
-    // so --threads > 1 disables event capture for these algorithms.
-    const int threads = args.get_int("threads", 1);
-    const bool free_running = args.get("free-running") == "1";
-    if (algo == "hp") {
+    if (algo == "hp" || algo == "hp-nospol") {
       HeteroPrioOptions hp_options;
-      hp_options.sink = threads > 1 ? nullptr : sink;
+      hp_options.enable_spoliation = algo == "hp";
+      hp_options.sink = sink;
       hp_options.metrics = metrics;
-      hp_options.threads = threads;
-      hp_options.canonical = !free_running;
-      result.schedule = heteroprio(inst->tasks(), platform, hp_options);
-    } else if (algo == "hp-nospol") {
-      HeteroPrioOptions hp_options;
-      hp_options.enable_spoliation = false;
-      hp_options.sink = threads > 1 ? nullptr : sink;
-      hp_options.metrics = metrics;
-      hp_options.threads = threads;
-      hp_options.canonical = !free_running;
       result.schedule = heteroprio(inst->tasks(), platform, hp_options);
     } else if (algo == "heft") {
       result.schedule = heft_independent(inst->tasks(), platform,
@@ -952,8 +936,6 @@ int cmd_perf(const Args& args) {
     options.sizes = {1000};
     options.repetitions = 2;
     options.sweep_tiles = {4, 8};
-    options.parallel_sizes = {1000};
-    options.parallel_threads = {1, 2};
     dag_options.tile_counts = {4, 8};
     dag_options.repetitions = 2;
   }
@@ -995,7 +977,7 @@ int cmd_perf(const Args& args) {
 /// Validate an emitted BENCH file: parses, right schema, every expected
 /// series present (in any order) with a positive throughput — a failure
 /// names each missing series. The schema tag of the file selects the
-/// validator (hp-bench-core/v2, hp-bench-dag/v2 or hp-bench-obs/v1 — the
+/// validator (hp-bench-core/v4, hp-bench-dag/v2 or hp-bench-obs/v1 — the
 /// last also enforces the overhead budget). With `--against OLD`,
 /// additionally join the series against a previous BENCH file and fail if
 /// any series regressed beyond `--tolerance` (default 0.25) or went
@@ -1037,13 +1019,7 @@ int cmd_perf_check(const Args& args) {
     const std::vector<std::size_t> sizes =
         quick ? std::vector<std::size_t>{1000}
               : std::vector<std::size_t>{1000, 10000, 100000};
-    const std::vector<std::size_t> par_sizes =
-        quick ? std::vector<std::size_t>{1000}
-              : std::vector<std::size_t>{100000, 1000000};
-    const std::vector<int> par_threads =
-        quick ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
-    ok = perf::validate_perf_baseline_json(*text, sizes, &error, par_sizes,
-                                           par_threads);
+    ok = perf::validate_perf_baseline_json(*text, sizes, &error);
   }
   if (!ok) {
     std::cerr << "invalid baseline: " << error << '\n';
