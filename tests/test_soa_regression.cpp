@@ -23,6 +23,7 @@
 #include "fuzz/corpus.hpp"
 #include "fuzz/runner.hpp"
 #include "model/generators.hpp"
+#include "schedule_checksum.hpp"
 #include "util/rng.hpp"
 
 #ifndef HP_CORPUS_DIR
@@ -88,33 +89,6 @@ TEST(SoaRegression, AllRankSchemesMatchReferenceOnDags) {
       }
     }
   }
-}
-
-std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(p);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t schedule_checksum(const Schedule& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t t = 0; t < s.num_tasks(); ++t) {
-    const Placement& p = s.placement(static_cast<TaskId>(t));
-    h = fnv1a(h, &p.worker, sizeof p.worker);
-    h = fnv1a(h, &p.start, sizeof p.start);
-    h = fnv1a(h, &p.end, sizeof p.end);
-  }
-  for (const AbortedSegment& a : s.aborted()) {
-    h = fnv1a(h, &a.task, sizeof a.task);
-    h = fnv1a(h, &a.worker, sizeof a.worker);
-    h = fnv1a(h, &a.start, sizeof a.start);
-    h = fnv1a(h, &a.abort_time, sizeof a.abort_time);
-  }
-  const double mk = s.makespan();
-  return fnv1a(h, &mk, sizeof mk);
 }
 
 TEST(SoaRegression, FaultPlansMatchRecordedEngineBehavior) {
