@@ -60,6 +60,7 @@ namespace detail {
 struct DualTry {
   bool feasible = false;
   /// Per candidate (same order as the `candidates` argument): chosen side.
+  /// Meaningful only when `feasible`.
   std::vector<Resource> side;
 };
 
