@@ -15,6 +15,7 @@
 #include <iostream>
 #include <string>
 
+#include "io/serialize.hpp"
 #include "perf/perf_dag.hpp"
 #include "util/table.hpp"
 
@@ -22,7 +23,6 @@ int main(int argc, char** argv) {
   using namespace hp;
 
   perf::PerfDagOptions options;
-  options.verbose = true;
   std::string out_path = "BENCH_dag.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -58,16 +58,15 @@ int main(int argc, char** argv) {
               << util::format_double(s.value, 2) << "x\n";
   }
 
-  if (!perf::write_perf_dag_json(baseline, out_path)) {
-    std::cerr << "cannot write " << out_path << '\n';
+  const std::string json = perf::perf_dag_to_json(baseline);
+  std::string error;
+  if (!perf::validate_perf_dag_json(json, options.kernels, options.tile_counts,
+                                    &error)) {
+    std::cerr << "emitted document fails schema validation: " << error << '\n';
     return 1;
   }
-  std::string error;
-  if (!perf::validate_perf_dag_json(perf::perf_dag_to_json(baseline),
-                                    options.kernels, options.tile_counts,
-                                    &error)) {
-    std::cerr << "internal error: emitted baseline is invalid: " << error
-              << '\n';
+  if (!io::save_text_file(out_path, json)) {
+    std::cerr << "cannot write " << out_path << '\n';
     return 1;
   }
   std::cout << "wrote " << out_path << '\n';

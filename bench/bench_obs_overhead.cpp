@@ -16,6 +16,7 @@
 #include <iostream>
 #include <string>
 
+#include "io/serialize.hpp"
 #include "perf/perf_obs.hpp"
 #include "util/table.hpp"
 
@@ -23,7 +24,6 @@ int main(int argc, char** argv) {
   using namespace hp;
 
   perf::PerfObsOptions options;
-  options.verbose = true;
   bool quick = false;
   std::string out_path = "BENCH_obs.json";
   for (int i = 1; i < argc; ++i) {
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     std::cerr << "emitted document fails schema validation: " << error << '\n';
     return 1;
   }
-  if (!perf::write_perf_obs_json(baseline, out_path)) {
+  if (!io::save_text_file(out_path, json)) {
     std::cerr << "cannot write " << out_path << '\n';
     return 1;
   }

@@ -15,6 +15,7 @@
 #include <iostream>
 #include <string>
 
+#include "io/serialize.hpp"
 #include "perf/perf_serve.hpp"
 #include "util/table.hpp"
 
@@ -22,7 +23,6 @@ int main(int argc, char** argv) {
   using namespace hp;
 
   perf::PerfServeOptions options;
-  options.verbose = true;
   std::string out_path = "BENCH_serve.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
               << '\n';
     return 1;
   }
-  if (!perf::write_perf_serve_json(baseline, out_path)) {
+  if (!io::save_text_file(out_path, json)) {
     std::cerr << "cannot write " << out_path << '\n';
     return 1;
   }

@@ -53,8 +53,17 @@ class Parser {
 
   bool parse_value(JsonValue* out) {
     switch (peek()) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kJsonMaxDepth) {
+          return fail("nesting deeper than " + std::to_string(kJsonMaxDepth) +
+                      " levels");
+        }
+        ++depth_;
+        const bool ok = peek() == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         std::string s;
         if (!parse_string(&s)) return false;
@@ -207,6 +216,7 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects currently open
 };
 
 }  // namespace

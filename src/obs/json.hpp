@@ -57,8 +57,14 @@ class JsonValue {
   std::shared_ptr<JsonObject> object_;
 };
 
+/// Deepest array/object nesting json_parse accepts. The parser recurses
+/// once per level, so the cap keeps hostile input from overflowing the
+/// stack; the documents this repo emits nest a handful of levels.
+inline constexpr int kJsonMaxDepth = 256;
+
 /// Parse a complete JSON document. On failure returns false and describes
-/// the first error (with character offset) in `*error`.
+/// the first error (with character offset) in `*error`. Nesting deeper
+/// than kJsonMaxDepth is an error.
 bool json_parse(const std::string& text, JsonValue* out, std::string* error);
 
 }  // namespace hp::obs

@@ -1,36 +1,24 @@
 #include "perf/perf_baseline.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <thread>
 
 #include "baselines/dualhp.hpp"
 #include "baselines/heft.hpp"
 #include "core/heteroprio.hpp"
 #include "core/heteroprio_ref.hpp"
-#include "model/generators.hpp"
 #include "obs/recorder.hpp"
-#include "perf/json_scan.hpp"
+#include "perf/bench_common.hpp"
 #include "sweep/dag_sweep.hpp"
 #include "util/arena.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hp::perf {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// Best-of-`reps` wall time of one schedule construction. One untimed
 /// warm-up run precedes the timed repetitions: the first run through a
@@ -49,23 +37,6 @@ double time_best(int reps, Fn&& fn) {
   return best;
 }
 
-Instance make_instance(std::size_t n) {
-  util::Rng rng(util::seed_from_cell({static_cast<std::uint64_t>(n)}));
-  UniformGenParams params;
-  params.num_tasks = n;
-  return uniform_instance(params, rng);
-}
-
-void append_json_series(std::ostringstream& out, const PerfSeries& s,
-                        bool first) {
-  if (!first) out << ",";
-  out << "\n    {\"algorithm\": \"" << s.algorithm << "\", "
-      << "\"workload\": \"independent-uniform\", "
-      << "\"n\": " << s.n << ", "
-      << "\"seconds\": " << s.seconds << ", "
-      << "\"tasks_per_sec\": " << s.tasks_per_sec << "}";
-}
-
 }  // namespace
 
 PerfBaseline run_perf_baseline(const PerfBaselineOptions& options) {
@@ -77,8 +48,8 @@ PerfBaseline run_perf_baseline(const PerfBaselineOptions& options) {
   out.hardware_threads =
       static_cast<int>(std::thread::hardware_concurrency());
 
-  const auto note = [&](const std::string& line) {
-    if (options.verbose) std::cerr << "[perf] " << line << '\n';
+  const auto note = [](const std::string& line) {
+    std::cerr << "[perf] " << line << '\n';
   };
 
   double hp_best_rate = 0.0;
@@ -158,24 +129,24 @@ PerfBaseline run_perf_baseline(const PerfBaselineOptions& options) {
 }
 
 std::string perf_baseline_to_json(const PerfBaseline& baseline) {
-  std::ostringstream out;
-  out.precision(10);
-  out << "{\n"
-      << "  \"schema\": \"hp-bench-core/v4\",\n"
-      << "  \"layout\": \"soa\",\n"
-      << "  \"platform\": {\"cpus\": " << baseline.platform.cpus()
-      << ", \"gpus\": " << baseline.platform.gpus() << "},\n"
-      << "  \"hardware_threads\": " << baseline.hardware_threads << ",\n"
-      << "  \"repetitions\": " << baseline.repetitions << ",\n"
-      << "  \"warmup_runs\": 1,\n"
+  std::ostringstream out = open_document({.schema = kCoreSchema,
+                                          .platform = baseline.platform,
+                                          .repetitions = baseline.repetitions,
+                                          .soa_layout = true,
+                                          .hardware_threads =
+                                              baseline.hardware_threads});
+  out << "  \"warmup_runs\": 1,\n"
       << "  \"arena\": {\"reserved_bytes\": " << baseline.arena_reserved_bytes
       << ", \"high_water_bytes\": " << baseline.arena_high_water_bytes
-      << "},\n"
-      << "  \"series\": [";
-  for (std::size_t i = 0; i < baseline.series.size(); ++i) {
-    append_json_series(out, baseline.series[i], i == 0);
-  }
-  out << "\n  ]";
+      << "},\n";
+  write_rows(out, "series", baseline.series,
+             [](std::ostream& row, const PerfSeries& s) {
+               row << "{\"algorithm\": \"" << s.algorithm << "\", "
+                   << "\"workload\": \"independent-uniform\", "
+                   << "\"n\": " << s.n << ", "
+                   << "\"seconds\": " << s.seconds << ", "
+                   << "\"tasks_per_sec\": " << s.tasks_per_sec << "}";
+             });
   if (baseline.speedup_n != 0) {
     out << ",\n  \"speedup_vs_reference\": {\"n\": " << baseline.speedup_n
         << ", \"value\": " << baseline.speedup_vs_reference << "}";
@@ -201,14 +172,6 @@ std::string perf_baseline_to_json(const PerfBaseline& baseline) {
   return out.str();
 }
 
-bool write_perf_baseline_json(const PerfBaseline& baseline,
-                              const std::string& path) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << perf_baseline_to_json(baseline);
-  return static_cast<bool>(file);
-}
-
 bool validate_perf_baseline_json(const std::string& json_text,
                                  const std::vector<std::size_t>& sizes,
                                  std::string* error) {
@@ -216,69 +179,45 @@ bool validate_perf_baseline_json(const std::string& json_text,
     if (error != nullptr) *error = why;
     return false;
   };
-  if (!jsonscan::balanced_json(json_text, error)) return false;
-  if (jsonscan::string_field(json_text, "schema").value_or("") !=
-      "hp-bench-core/v4") {
-    return fail("missing or wrong schema tag (want hp-bench-core/v4)");
-  }
-  if (jsonscan::string_field(json_text, "layout").value_or("") != "soa") {
+  obs::JsonValue doc;
+  if (!parse_bench_json(json_text, kCoreSchema, &doc, error)) return false;
+  if (string_field(doc, "layout") != "soa") {
     return fail("missing layout tag (v2 documents record the engine layout)");
   }
-  if (!jsonscan::number_field(json_text, "high_water_bytes").has_value()) {
+  const obs::JsonValue* arena = doc.find("arena");
+  if (arena == nullptr || !number_field(*arena, "high_water_bytes")) {
     return fail("missing arena footprint (v2 field arena.high_water_bytes)");
   }
-  if (!jsonscan::number_field(json_text, "hardware_threads").has_value()) {
+  if (!number_field(doc, "hardware_threads")) {
     return fail("missing hardware_threads (v3 documents record the "
                 "measuring machine's concurrency)");
   }
+  const obs::JsonArray* series = array_field(doc, "series");
+  if (series == nullptr) return fail("missing series array");
 
-  // Tick off expected entries in whatever order the series array holds them.
-  struct Expected {
-    std::string algorithm;
-    std::size_t n;
-    bool seen = false;
+  const auto key = [](const std::string& algo, double n) {
+    return algo + " at n=" + format_number(n);
   };
-  std::vector<Expected> expected;
+  std::vector<std::string> seen;
+  for (const obs::JsonValue& row : *series) {
+    const std::string algo = string_field(row, "algorithm");
+    const std::optional<double> n = number_field(row, "n");
+    const std::optional<double> rate = number_field(row, "tasks_per_sec");
+    if (algo.empty() || !n) return fail("series entry without algorithm/n");
+    if (!rate || *rate <= 0.0) {
+      return fail("series entry for " + algo +
+                  " has no positive tasks_per_sec");
+    }
+    seen.push_back(key(algo, *n));
+  }
+  std::vector<std::string> expected;
   for (const char* algo : {"HeteroPrio", "DualHP", "HEFT"}) {
-    for (const std::size_t n : sizes) expected.push_back({algo, n, false});
+    for (const std::size_t n : sizes) {
+      expected.push_back(key(algo, static_cast<double>(n)));
+    }
   }
-
-  std::string entry_error;
-  const bool walked = jsonscan::for_each_array_object(
-      json_text, "series", [&](const std::string& obj) {
-        const std::string algo =
-            jsonscan::string_field(obj, "algorithm").value_or("");
-        const std::optional<double> n = jsonscan::number_field(obj, "n");
-        const std::optional<double> rate =
-            jsonscan::number_field(obj, "tasks_per_sec");
-        if (algo.empty() || !n.has_value()) {
-          entry_error = "series entry without algorithm/n";
-          return;
-        }
-        if (!rate.has_value() || *rate <= 0.0) {
-          entry_error =
-              "series entry for " + algo + " has no positive tasks_per_sec";
-          return;
-        }
-        for (Expected& e : expected) {
-          if (e.algorithm == algo && static_cast<double>(e.n) == *n) {
-            e.seen = true;
-          }
-        }
-      });
-  if (!walked) return fail("missing series array");
-  if (!entry_error.empty()) return fail(entry_error);
-
-  // Name every absent series, not just the first: a perf-check failure
-  // should tell the whole story in one run.
-  std::string missing;
-  for (const Expected& e : expected) {
-    if (e.seen) continue;
-    if (!missing.empty()) missing += ", ";
-    missing += e.algorithm + " at n=" + std::to_string(e.n);
-  }
-  if (!missing.empty()) return fail("missing series: " + missing);
-  return true;
+  const std::string missing = missing_series(expected, seen);
+  return missing.empty() || fail(missing);
 }
 
 }  // namespace hp::perf

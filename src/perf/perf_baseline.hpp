@@ -7,12 +7,15 @@
 // tracked PR over PR and compared against any prior baseline file.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/platform.hpp"
 #include "obs/counters.hpp"
 
 namespace hp::perf {
+
+inline constexpr std::string_view kCoreSchema = "hp-bench-core/v4";
 
 struct PerfBaselineOptions {
   /// Independent-instance sizes to measure (tasks per instance).
@@ -28,7 +31,6 @@ struct PerfBaselineOptions {
   bool include_sweep = true;
   int sweep_threads = 0;          ///< 1 = serial, <= 0 = all cores
   std::vector<int> sweep_tiles = {4, 8, 12, 16};
-  bool verbose = false;           ///< progress lines on stderr
 };
 
 /// One measured point: schedule construction for `n` independent tasks.
@@ -69,16 +71,12 @@ struct PerfBaseline {
   std::size_t arena_high_water_bytes = 0;
 };
 
-/// Run all measurements. Deterministic instances (seeded from n), wall-clock
-/// timings via steady_clock.
+/// Run all measurements, with progress lines on stderr. Deterministic
+/// instances (seeded from n), wall-clock timings via steady_clock.
 [[nodiscard]] PerfBaseline run_perf_baseline(const PerfBaselineOptions& options);
 
 /// Serialize to the BENCH_core.json document (schema "hp-bench-core/v4").
 [[nodiscard]] std::string perf_baseline_to_json(const PerfBaseline& baseline);
-
-/// Write the JSON document to `path`. Returns false on I/O failure.
-bool write_perf_baseline_json(const PerfBaseline& baseline,
-                              const std::string& path);
 
 /// Validate an emitted BENCH_core.json: the document must parse, carry the
 /// v4 schema tag with its layout/arena/hardware_threads fields, and contain

@@ -5,60 +5,58 @@
 #include <optional>
 #include <sstream>
 
-#include "perf/json_scan.hpp"
+#include "perf/bench_common.hpp"
 
 namespace hp::perf {
 
 namespace {
 
 /// Identity of one series entry, or nullopt for malformed entries.
-std::optional<std::string> series_key(const std::string& obj) {
-  const std::string algo = jsonscan::string_field(obj, "algorithm").value_or("");
+std::optional<std::string> series_key(const obs::JsonValue& row) {
+  const std::string algo = string_field(row, "algorithm");
   if (algo.empty()) return std::nullopt;
-  if (const auto kernel = jsonscan::string_field(obj, "kernel");
-      kernel.has_value()) {
-    const auto tiles = jsonscan::number_field(obj, "tiles");
-    if (!tiles.has_value()) return std::nullopt;
-    return *kernel + "/" + algo +
-           " N=" + std::to_string(static_cast<long long>(*tiles));
+  if (const std::string kernel = string_field(row, "kernel"); !kernel.empty()) {
+    const std::optional<double> tiles = number_field(row, "tiles");
+    if (!tiles) return std::nullopt;
+    return kernel + "/" + algo + " N=" + format_number(*tiles);
   }
-  const auto n = jsonscan::number_field(obj, "n");
-  if (!n.has_value()) return std::nullopt;
-  return algo + " n=" + std::to_string(static_cast<long long>(*n));
+  const std::optional<double> n = number_field(row, "n");
+  if (!n) return std::nullopt;
+  return algo + " n=" + format_number(*n);
 }
 
 }  // namespace
 
 std::vector<SeriesPoint> extract_series(const std::string& json_text) {
   std::vector<SeriesPoint> out;
-  jsonscan::for_each_array_object(
-      json_text, "series", [&](const std::string& obj) {
-        const auto key = series_key(obj);
-        if (const auto rate = jsonscan::number_field(obj, "tasks_per_sec");
-            key.has_value() && rate.has_value() && *rate > 0.0) {
-          out.push_back(SeriesPoint{*key, *rate});
-          return;
-        }
-        // BENCH_obs entries carry two throughputs per workload; surface
-        // both arms so an --against join tracks each trend separately.
-        const std::string workload =
-            jsonscan::string_field(obj, "workload").value_or("");
-        const auto n = jsonscan::number_field(obj, "n");
-        if (workload.empty() || !n.has_value()) return;
-        const std::string suffix =
-            " n=" + std::to_string(static_cast<long long>(*n));
-        if (const auto base =
-                jsonscan::number_field(obj, "baseline_tasks_per_sec");
-            base.has_value() && *base > 0.0) {
-          out.push_back(SeriesPoint{workload + " baseline" + suffix, *base});
-        }
-        if (const auto inst =
-                jsonscan::number_field(obj, "instrumented_tasks_per_sec");
-            inst.has_value() && *inst > 0.0) {
-          out.push_back(
-              SeriesPoint{workload + " instrumented" + suffix, *inst});
-        }
-      });
+  obs::JsonValue doc;
+  if (!obs::json_parse(json_text, &doc, nullptr)) return out;
+  const obs::JsonArray* series = array_field(doc, "series");
+  if (series == nullptr) return out;
+  for (const obs::JsonValue& row : *series) {
+    const std::optional<std::string> key = series_key(row);
+    if (const std::optional<double> rate = number_field(row, "tasks_per_sec");
+        key && rate && *rate > 0.0) {
+      out.push_back(SeriesPoint{*key, *rate});
+      continue;
+    }
+    // BENCH_obs entries carry two throughputs per workload; surface both
+    // arms so an --against join tracks each trend separately.
+    const std::string workload = string_field(row, "workload");
+    const std::optional<double> n = number_field(row, "n");
+    if (workload.empty() || !n) continue;
+    const std::string suffix = " n=" + format_number(*n);
+    if (const std::optional<double> base =
+            number_field(row, "baseline_tasks_per_sec");
+        base && *base > 0.0) {
+      out.push_back(SeriesPoint{workload + " baseline" + suffix, *base});
+    }
+    if (const std::optional<double> inst =
+            number_field(row, "instrumented_tasks_per_sec");
+        inst && *inst > 0.0) {
+      out.push_back(SeriesPoint{workload + " instrumented" + suffix, *inst});
+    }
+  }
   return out;
 }
 

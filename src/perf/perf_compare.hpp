@@ -19,9 +19,10 @@ struct SeriesPoint {
   double tasks_per_sec = 0.0;
 };
 
-/// Pull every series entry out of a BENCH_core or BENCH_dag document (the
-/// entry shape picks the key format). Entries without an identity or a
-/// positive throughput are skipped — the validator reports those.
+/// Pull every series entry out of a BENCH_core, BENCH_dag or BENCH_obs
+/// document (the entry shape picks the key format). Entries without an
+/// identity or a positive finite throughput are skipped — the validator
+/// reports those — and text that is not strict JSON yields no series.
 [[nodiscard]] std::vector<SeriesPoint> extract_series(
     const std::string& json_text);
 

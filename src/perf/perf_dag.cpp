@@ -1,12 +1,10 @@
 #include "perf/perf_dag.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <optional>
-#include <sstream>
 
 #include "baselines/dualhp.hpp"
 #include "baselines/heft.hpp"
@@ -17,18 +15,12 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/qr.hpp"
-#include "perf/json_scan.hpp"
+#include "perf/bench_common.hpp"
 #include "sched/critical_path.hpp"
 
 namespace hp::perf {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 TaskGraph build_kernel(const std::string& kernel, int tiles) {
   if (kernel == "cholesky") return cholesky_dag(tiles);
@@ -38,20 +30,6 @@ TaskGraph build_kernel(const std::string& kernel, int tiles) {
   std::abort();
 }
 
-void append_json_series(std::ostringstream& out, const PerfDagSeries& s,
-                        bool first) {
-  if (!first) out << ",";
-  out << "\n    {\"kernel\": \"" << s.kernel << "\", "
-      << "\"algorithm\": \"" << s.algorithm << "\", "
-      << "\"tiles\": " << s.tiles << ", "
-      << "\"n\": " << s.n << ", "
-      << "\"seconds\": " << s.seconds << ", "
-      << "\"tasks_per_sec\": " << s.tasks_per_sec << ", "
-      << "\"makespan\": " << s.makespan << ", "
-      << "\"cp_compute_fraction\": " << s.cp_compute_fraction << ", "
-      << "\"cp_segments\": " << s.cp_segments << "}";
-}
-
 }  // namespace
 
 PerfDagBaseline run_perf_dag(const PerfDagOptions& options) {
@@ -59,8 +37,8 @@ PerfDagBaseline run_perf_dag(const PerfDagOptions& options) {
   out.platform = options.platform;
   out.repetitions = std::max(1, options.repetitions);
 
-  const auto note = [&](const std::string& line) {
-    if (options.verbose) std::cerr << "[perf-dag] " << line << '\n';
+  const auto note = [](const std::string& line) {
+    std::cerr << "[perf-dag] " << line << '\n';
   };
 
   for (const std::string& kernel : options.kernels) {
@@ -126,42 +104,36 @@ PerfDagBaseline run_perf_dag(const PerfDagOptions& options) {
 }
 
 std::string perf_dag_to_json(const PerfDagBaseline& baseline) {
-  std::ostringstream out;
-  out.precision(10);
-  out << "{\n"
-      << "  \"schema\": \"hp-bench-dag/v2\",\n"
-      << "  \"layout\": \"soa\",\n"
-      << "  \"platform\": {\"cpus\": " << baseline.platform.cpus()
-      << ", \"gpus\": " << baseline.platform.gpus() << "},\n"
-      << "  \"repetitions\": " << baseline.repetitions << ",\n"
-      << "  \"series\": [";
-  for (std::size_t i = 0; i < baseline.series.size(); ++i) {
-    append_json_series(out, baseline.series[i], i == 0);
-  }
-  out << "\n  ]";
+  std::ostringstream out = open_document({.schema = kDagSchema,
+                                          .platform = baseline.platform,
+                                          .repetitions = baseline.repetitions,
+                                          .soa_layout = true});
+  write_rows(out, "series", baseline.series,
+             [](std::ostream& row, const PerfDagSeries& s) {
+               row << "{\"kernel\": \"" << s.kernel << "\", "
+                   << "\"algorithm\": \"" << s.algorithm << "\", "
+                   << "\"tiles\": " << s.tiles << ", "
+                   << "\"n\": " << s.n << ", "
+                   << "\"seconds\": " << s.seconds << ", "
+                   << "\"tasks_per_sec\": " << s.tasks_per_sec << ", "
+                   << "\"makespan\": " << s.makespan << ", "
+                   << "\"cp_compute_fraction\": " << s.cp_compute_fraction
+                   << ", "
+                   << "\"cp_segments\": " << s.cp_segments << "}";
+             });
   if (!baseline.speedups.empty()) {
-    out << ",\n  \"speedups_vs_reference\": [";
-    for (std::size_t i = 0; i < baseline.speedups.size(); ++i) {
-      const PerfDagSpeedup& s = baseline.speedups[i];
-      if (i != 0) out << ",";
-      out << "\n    {\"kernel\": \"" << s.kernel << "\", "
-          << "\"algorithm\": \"" << s.algorithm << "\", "
-          << "\"tiles\": " << s.tiles << ", "
-          << "\"n\": " << s.n << ", "
-          << "\"value\": " << s.value << "}";
-    }
-    out << "\n  ]";
+    out << ",\n";
+    write_rows(out, "speedups_vs_reference", baseline.speedups,
+               [](std::ostream& row, const PerfDagSpeedup& s) {
+                 row << "{\"kernel\": \"" << s.kernel << "\", "
+                     << "\"algorithm\": \"" << s.algorithm << "\", "
+                     << "\"tiles\": " << s.tiles << ", "
+                     << "\"n\": " << s.n << ", "
+                     << "\"value\": " << s.value << "}";
+               });
   }
   out << "\n}\n";
   return out.str();
-}
-
-bool write_perf_dag_json(const PerfDagBaseline& baseline,
-                         const std::string& path) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << perf_dag_to_json(baseline);
-  return static_cast<bool>(file);
 }
 
 bool validate_perf_dag_json(const std::string& json_text,
@@ -172,72 +144,45 @@ bool validate_perf_dag_json(const std::string& json_text,
     if (error != nullptr) *error = why;
     return false;
   };
-  if (!jsonscan::balanced_json(json_text, error)) return false;
-  if (jsonscan::string_field(json_text, "schema").value_or("") !=
-      "hp-bench-dag/v2") {
-    return fail("missing or wrong schema tag (want hp-bench-dag/v2)");
-  }
+  obs::JsonValue doc;
+  if (!parse_bench_json(json_text, kDagSchema, &doc, error)) return false;
+  const obs::JsonArray* series = array_field(doc, "series");
+  if (series == nullptr) return fail("missing series array");
 
-  struct Expected {
-    std::string kernel;
-    std::string algorithm;
-    int tiles;
-    bool seen = false;
+  const auto key = [](const std::string& kernel, const std::string& algo,
+                      double tiles) {
+    return kernel + "/" + algo + " at N=" + format_number(tiles);
   };
-  std::vector<Expected> expected;
+  std::vector<std::string> seen;
+  for (const obs::JsonValue& row : *series) {
+    const std::string kernel = string_field(row, "kernel");
+    const std::string algo = string_field(row, "algorithm");
+    const std::optional<double> tiles = number_field(row, "tiles");
+    const std::optional<double> rate = number_field(row, "tasks_per_sec");
+    const std::optional<double> cp = number_field(row, "cp_compute_fraction");
+    if (kernel.empty() || algo.empty() || !tiles) {
+      return fail("series entry without kernel/algorithm/tiles");
+    }
+    if (!rate || *rate <= 0.0) {
+      return fail("series entry for " + kernel + "/" + algo +
+                  " has no positive tasks_per_sec");
+    }
+    if (!cp || *cp < 0.0 || *cp > 1.0) {
+      return fail("series entry for " + kernel + "/" + algo +
+                  " has no cp_compute_fraction in [0, 1]");
+    }
+    seen.push_back(key(kernel, algo, *tiles));
+  }
+  std::vector<std::string> expected;
   for (const std::string& kernel : kernels) {
     for (const int tiles : tile_counts) {
       for (const char* algo : {"HeteroPrio", "HEFT", "DualHP"}) {
-        expected.push_back({kernel, algo, tiles, false});
+        expected.push_back(key(kernel, algo, tiles));
       }
     }
   }
-
-  std::string entry_error;
-  const bool walked = jsonscan::for_each_array_object(
-      json_text, "series", [&](const std::string& obj) {
-        const std::string kernel =
-            jsonscan::string_field(obj, "kernel").value_or("");
-        const std::string algo =
-            jsonscan::string_field(obj, "algorithm").value_or("");
-        const std::optional<double> tiles =
-            jsonscan::number_field(obj, "tiles");
-        const std::optional<double> rate =
-            jsonscan::number_field(obj, "tasks_per_sec");
-        const std::optional<double> cp =
-            jsonscan::number_field(obj, "cp_compute_fraction");
-        if (kernel.empty() || algo.empty() || !tiles.has_value()) {
-          entry_error = "series entry without kernel/algorithm/tiles";
-          return;
-        }
-        if (!rate.has_value() || *rate <= 0.0) {
-          entry_error = "series entry for " + kernel + "/" + algo +
-                        " has no positive tasks_per_sec";
-          return;
-        }
-        if (!cp.has_value() || *cp < 0.0 || *cp > 1.0) {
-          entry_error = "series entry for " + kernel + "/" + algo +
-                        " has no cp_compute_fraction in [0, 1]";
-          return;
-        }
-        for (Expected& e : expected) {
-          if (e.kernel == kernel && e.algorithm == algo &&
-              static_cast<double>(e.tiles) == *tiles) {
-            e.seen = true;
-          }
-        }
-      });
-  if (!walked) return fail("missing series array");
-  if (!entry_error.empty()) return fail(entry_error);
-
-  std::string missing;
-  for (const Expected& e : expected) {
-    if (e.seen) continue;
-    if (!missing.empty()) missing += ", ";
-    missing += e.kernel + "/" + e.algorithm + " at N=" + std::to_string(e.tiles);
-  }
-  if (!missing.empty()) return fail("missing series: " + missing);
-  return true;
+  const std::string missing = missing_series(expected, seen);
+  return missing.empty() || fail(missing);
 }
 
 }  // namespace hp::perf

@@ -7,11 +7,14 @@
 // docs/benchmarks.md), the DAG-side companion of BENCH_core.json.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/platform.hpp"
 
 namespace hp::perf {
+
+inline constexpr std::string_view kDagSchema = "hp-bench-dag/v2";
 
 struct PerfDagOptions {
   /// Tile counts per kernel. N = 60 Cholesky is ~38k tasks — the scale the
@@ -24,7 +27,6 @@ struct PerfDagOptions {
   /// Also time the reference engines (heteroprio_dag_reference, heft_ref)
   /// at the largest tile count of each kernel and report the speedups.
   bool include_reference = true;
-  bool verbose = false;  ///< progress lines on stderr
 };
 
 /// One measured point: scheduling one kernel DAG with one policy.
@@ -61,17 +63,13 @@ struct PerfDagBaseline {
   std::vector<PerfDagSpeedup> speedups;
 };
 
-/// Run all measurements. DAGs are deterministic (builder + tile count);
+/// Run all measurements, with progress lines on stderr. DAGs are deterministic (builder + tile count);
 /// priorities use the paper's avg bottom levels; wall-clock via
 /// steady_clock. The graph build is untimed — the series measure scheduling.
 [[nodiscard]] PerfDagBaseline run_perf_dag(const PerfDagOptions& options);
 
 /// Serialize to the BENCH_dag.json document (schema "hp-bench-dag/v2").
 [[nodiscard]] std::string perf_dag_to_json(const PerfDagBaseline& baseline);
-
-/// Write the JSON document to `path`. Returns false on I/O failure.
-bool write_perf_dag_json(const PerfDagBaseline& baseline,
-                         const std::string& path);
 
 /// Validate an emitted BENCH_dag.json: the document must parse, carry the
 /// v2 schema tag, and contain a series entry with a positive tasks_per_sec

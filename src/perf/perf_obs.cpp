@@ -1,9 +1,6 @@
 #include "perf/perf_obs.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -13,27 +10,12 @@
 #include "core/heteroprio_dag.hpp"
 #include "dag/ranking.hpp"
 #include "linalg/cholesky.hpp"
-#include "model/generators.hpp"
 #include "obs/profile.hpp"
-#include "perf/json_scan.hpp"
-#include "util/rng.hpp"
+#include "perf/bench_common.hpp"
 
 namespace hp::perf {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-Instance make_instance(std::size_t n) {
-  util::Rng rng(util::seed_from_cell({static_cast<std::uint64_t>(n)}));
-  UniformGenParams params;
-  params.num_tasks = n;
-  return uniform_instance(params, rng);
-}
 
 /// Paired best-of measurement of one workload: the two arms alternate
 /// (baseline, instrumented, baseline, ...) inside one loop so slow drift —
@@ -67,18 +49,6 @@ PerfObsSeries measure_pair(const std::string& workload, std::size_t n,
   return s;
 }
 
-void append_json_series(std::ostringstream& out, const PerfObsSeries& s,
-                        bool first) {
-  if (!first) out << ",";
-  out << "\n    {\"workload\": \"" << s.workload << "\", "
-      << "\"algorithm\": \"" << s.algorithm << "\", "
-      << "\"n\": " << s.n << ", "
-      << "\"baseline_tasks_per_sec\": " << s.baseline_tasks_per_sec << ", "
-      << "\"instrumented_tasks_per_sec\": " << s.instrumented_tasks_per_sec
-      << ", "
-      << "\"overhead_fraction\": " << s.overhead_fraction << "}";
-}
-
 }  // namespace
 
 PerfObsBaseline run_obs_overhead(const PerfObsOptions& options) {
@@ -87,8 +57,7 @@ PerfObsBaseline run_obs_overhead(const PerfObsOptions& options) {
   out.repetitions = std::max(1, options.repetitions);
   out.budget = options.budget;
 
-  const auto note = [&](const PerfObsSeries& s) {
-    if (!options.verbose) return;
+  const auto note = [](const PerfObsSeries& s) {
     std::cerr << "[perf-obs] " << s.workload << " n=" << s.n << ": "
               << s.baseline_tasks_per_sec / 1e6 << "M -> "
               << s.instrumented_tasks_per_sec / 1e6 << "M tasks/s ("
@@ -126,29 +95,24 @@ PerfObsBaseline run_obs_overhead(const PerfObsOptions& options) {
 }
 
 std::string perf_obs_to_json(const PerfObsBaseline& baseline) {
-  std::ostringstream out;
-  out.precision(10);
-  out << "{\n"
-      << "  \"schema\": \"hp-bench-obs/v1\",\n"
-      << "  \"platform\": {\"cpus\": " << baseline.platform.cpus()
-      << ", \"gpus\": " << baseline.platform.gpus() << "},\n"
-      << "  \"repetitions\": " << baseline.repetitions << ",\n"
-      << "  \"warmup_runs\": 1,\n"
-      << "  \"budget\": " << baseline.budget << ",\n"
-      << "  \"series\": [";
-  for (std::size_t i = 0; i < baseline.series.size(); ++i) {
-    append_json_series(out, baseline.series[i], i == 0);
-  }
-  out << "\n  ]\n}\n";
+  std::ostringstream out = open_document({.schema = kObsSchema,
+                                          .platform = baseline.platform,
+                                          .repetitions = baseline.repetitions});
+  out << "  \"warmup_runs\": 1,\n"
+      << "  \"budget\": " << baseline.budget << ",\n";
+  write_rows(out, "series", baseline.series,
+             [](std::ostream& row, const PerfObsSeries& s) {
+               row << "{\"workload\": \"" << s.workload << "\", "
+                   << "\"algorithm\": \"" << s.algorithm << "\", "
+                   << "\"n\": " << s.n << ", "
+                   << "\"baseline_tasks_per_sec\": "
+                   << s.baseline_tasks_per_sec << ", "
+                   << "\"instrumented_tasks_per_sec\": "
+                   << s.instrumented_tasks_per_sec << ", "
+                   << "\"overhead_fraction\": " << s.overhead_fraction << "}";
+             });
+  out << "\n}\n";
   return out.str();
-}
-
-bool write_perf_obs_json(const PerfObsBaseline& baseline,
-                         const std::string& path) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << perf_obs_to_json(baseline);
-  return static_cast<bool>(file);
 }
 
 bool validate_perf_obs_json(const std::string& json_text, std::string* error) {
@@ -156,92 +120,64 @@ bool validate_perf_obs_json(const std::string& json_text, std::string* error) {
     if (error != nullptr) *error = why;
     return false;
   };
-  if (!jsonscan::balanced_json(json_text, error)) return false;
-  if (jsonscan::string_field(json_text, "schema").value_or("") !=
-      "hp-bench-obs/v1") {
-    return fail("missing or wrong schema tag (want hp-bench-obs/v1)");
-  }
-  const std::optional<double> budget =
-      jsonscan::number_field(json_text, "budget");
-  if (!budget.has_value() || *budget <= 0.0) {
-    return fail("missing positive budget field");
-  }
+  obs::JsonValue doc;
+  if (!parse_bench_json(json_text, kObsSchema, &doc, error)) return false;
+  const std::optional<double> budget = number_field(doc, "budget");
+  if (!budget || *budget <= 0.0) return fail("missing positive budget field");
+  const obs::JsonArray* series = array_field(doc, "series");
+  if (series == nullptr) return fail("missing series array");
 
-  struct Expected {
-    std::string workload;
-    bool seen = false;
-  };
-  std::vector<Expected> expected = {{"independent-uniform"}, {"cholesky"}};
-
-  std::string entry_error;
-  const bool walked = jsonscan::for_each_array_object(
-      json_text, "series", [&](const std::string& obj) {
-        const std::string workload =
-            jsonscan::string_field(obj, "workload").value_or("");
-        const std::optional<double> base =
-            jsonscan::number_field(obj, "baseline_tasks_per_sec");
-        const std::optional<double> inst =
-            jsonscan::number_field(obj, "instrumented_tasks_per_sec");
-        const std::optional<double> overhead =
-            jsonscan::number_field(obj, "overhead_fraction");
-        if (workload.empty()) {
-          entry_error = "series entry without workload";
-          return;
-        }
-        if (!base.has_value() || *base <= 0.0 || !inst.has_value() ||
-            *inst <= 0.0) {
-          entry_error = "series entry for " + workload +
-                        " has no positive baseline/instrumented rate";
-          return;
-        }
-        if (!overhead.has_value() || !std::isfinite(*overhead)) {
-          entry_error = "series entry for " + workload +
-                        " has no finite overhead_fraction";
-          return;
-        }
-        for (Expected& e : expected) {
-          if (e.workload == workload) e.seen = true;
-        }
-      });
-  if (!walked) return fail("missing series array");
-  if (!entry_error.empty()) return fail(entry_error);
-
-  std::string missing;
-  for (const Expected& e : expected) {
-    if (e.seen) continue;
-    if (!missing.empty()) missing += ", ";
-    missing += e.workload;
+  std::vector<std::string> seen;
+  for (const obs::JsonValue& row : *series) {
+    const std::string workload = string_field(row, "workload");
+    const std::optional<double> base =
+        number_field(row, "baseline_tasks_per_sec");
+    const std::optional<double> inst =
+        number_field(row, "instrumented_tasks_per_sec");
+    if (workload.empty()) return fail("series entry without workload");
+    if (!base || *base <= 0.0 || !inst || *inst <= 0.0) {
+      return fail("series entry for " + workload +
+                  " has no positive baseline/instrumented rate");
+    }
+    if (!number_field(row, "overhead_fraction")) {
+      return fail("series entry for " + workload +
+                  " has no finite overhead_fraction");
+    }
+    seen.push_back(workload);
   }
-  if (!missing.empty()) return fail("missing series: " + missing);
-  return true;
+  const std::string missing =
+      missing_series({"independent-uniform", "cholesky"}, seen);
+  return missing.empty() || fail(missing);
 }
 
 bool check_obs_budget(const std::string& json_text, double budget,
                       std::string* error) {
-  if (budget <= 0.0) {
-    budget = jsonscan::number_field(json_text, "budget").value_or(0.0);
-  }
+  obs::JsonValue doc;
+  if (!parse_bench_json(json_text, kObsSchema, &doc, error)) return false;
+  if (budget <= 0.0) budget = number_field(doc, "budget").value_or(0.0);
   if (budget <= 0.0) {
     if (error != nullptr) *error = "no budget to enforce";
     return false;
   }
 
-  // Name every series over budget, not just the first.
+  const obs::JsonArray* series = array_field(doc, "series");
+  if (series == nullptr) {
+    if (error != nullptr) *error = "missing series array";
+    return false;
+  }
+  // Name every series over budget, not just the first. A missing or
+  // non-finite overhead is over any budget.
   std::string over;
-  jsonscan::for_each_array_object(
-      json_text, "series", [&](const std::string& obj) {
-        const std::string workload =
-            jsonscan::string_field(obj, "workload").value_or("?");
-        const double overhead =
-            jsonscan::number_field(obj, "overhead_fraction").value_or(0.0);
-        if (overhead <= budget) return;
-        if (!over.empty()) over += ", ";
-        std::ostringstream line;
-        line.precision(3);
-        line << workload << " at " << overhead * 100.0 << "% (budget "
-             << budget * 100.0 << "%)";
-        over += line.str();
-      });
+  for (const obs::JsonValue& row : *series) {
+    const double overhead = number_field(row, "overhead_fraction")
+                                .value_or(std::numeric_limits<double>::infinity());
+    if (overhead <= budget) continue;
+    std::ostringstream line;
+    line.precision(3);
+    line << string_field(row, "workload") << " at " << overhead * 100.0
+         << "% (budget " << budget * 100.0 << "%)";
+    over += (over.empty() ? "" : ", ") + line.str();
+  }
   if (!over.empty()) {
     if (error != nullptr) *error = "overhead over budget: " + over;
     return false;

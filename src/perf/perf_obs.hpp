@@ -9,11 +9,14 @@
 // perf-check` enforces the budget recorded in the document.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/platform.hpp"
 
 namespace hp::perf {
+
+inline constexpr std::string_view kObsSchema = "hp-bench-obs/v1";
 
 struct PerfObsOptions {
   /// Independent-instance size (tasks).
@@ -27,7 +30,6 @@ struct PerfObsOptions {
   Platform platform{20, 4};
   /// Maximum tolerated overhead_fraction, recorded into the document.
   double budget = 0.02;
-  bool verbose = false;  ///< progress lines on stderr
 };
 
 /// One workload's paired measurement.
@@ -49,15 +51,12 @@ struct PerfObsBaseline {
   std::vector<PerfObsSeries> series;
 };
 
-/// Run both paired measurements. Deterministic workloads (seeded from n).
+/// Run both paired measurements, with progress lines on stderr.
+/// Deterministic workloads (seeded from n).
 [[nodiscard]] PerfObsBaseline run_obs_overhead(const PerfObsOptions& options);
 
 /// Serialize to the BENCH_obs.json document (schema "hp-bench-obs/v1").
 [[nodiscard]] std::string perf_obs_to_json(const PerfObsBaseline& baseline);
-
-/// Write the JSON document to `path`. Returns false on I/O failure.
-bool write_perf_obs_json(const PerfObsBaseline& baseline,
-                         const std::string& path);
 
 /// Validate an emitted BENCH_obs.json: parses, carries the v1 schema tag
 /// and a positive budget, and holds a series entry with positive rates and

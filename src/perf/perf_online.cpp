@@ -1,36 +1,19 @@
 #include "perf/perf_online.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <sstream>
 
 #include "core/heteroprio.hpp"
-#include "model/generators.hpp"
 #include "online/runtime.hpp"
-#include "perf/json_scan.hpp"
-#include "util/rng.hpp"
+#include "perf/bench_common.hpp"
 
 namespace hp::perf {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-Instance make_instance(std::size_t n) {
-  util::Rng rng(util::seed_from_cell({static_cast<std::uint64_t>(n)}));
-  UniformGenParams params;
-  params.num_tasks = n;
-  return uniform_instance(params, rng);
-}
 
 /// The platform's aggregate service rate on `tasks`: workers divided by the
 /// mean best-resource duration. Arrival rates are expressed as multiples of
@@ -91,22 +74,6 @@ std::string rate_label(double factor) {
   return oss.str();
 }
 
-void append_json_series(std::ostringstream& out, const PerfOnlineSeries& s,
-                        bool first) {
-  if (!first) out << ",";
-  out << "\n    {\"label\": \"" << s.label << "\", "
-      << "\"workload\": \"" << s.workload << "\", "
-      << "\"n\": " << s.n << ", "
-      << "\"rate\": " << s.rate << ", "
-      << "\"makespan_stretch\": " << s.makespan_stretch << ", "
-      << "\"deadline_miss_rate\": " << s.deadline_miss_rate << ", "
-      << "\"shed_fraction\": " << s.shed_fraction << ", "
-      << "\"replan_tasks_per_sec\": " << s.replan_tasks_per_sec << ", "
-      << "\"replans\": " << s.replans << ", "
-      << "\"final_mode\": \"" << s.final_mode << "\", "
-      << "\"zero_drop\": " << (s.zero_drop ? "true" : "false") << "}";
-}
-
 }  // namespace
 
 PerfOnlineBaseline run_perf_online(const PerfOnlineOptions& options) {
@@ -120,8 +87,7 @@ PerfOnlineBaseline run_perf_online(const PerfOnlineOptions& options) {
       heteroprio(tasks, options.platform).makespan();
   const double base_rate = service_rate(tasks, options.platform);
 
-  const auto note = [&](const PerfOnlineSeries& s) {
-    if (!options.verbose) return;
+  const auto note = [](const PerfOnlineSeries& s) {
     std::cerr << "[perf-online] " << s.label << ": stretch "
               << s.makespan_stretch << ", miss rate " << s.deadline_miss_rate
               << ", shed " << s.shed_fraction << ", "
@@ -171,107 +137,94 @@ PerfOnlineBaseline run_perf_online(const PerfOnlineOptions& options) {
 }
 
 std::string perf_online_to_json(const PerfOnlineBaseline& baseline) {
-  std::ostringstream out;
-  out.precision(10);
-  out << "{\n"
-      << "  \"schema\": \"hp-bench-online/v1\",\n"
-      << "  \"platform\": {\"cpus\": " << baseline.platform.cpus()
-      << ", \"gpus\": " << baseline.platform.gpus() << "},\n"
-      << "  \"repetitions\": " << baseline.repetitions << ",\n"
-      << "  \"warmup_runs\": 1,\n"
-      << "  \"series\": [";
-  for (std::size_t i = 0; i < baseline.series.size(); ++i) {
-    append_json_series(out, baseline.series[i], i == 0);
-  }
-  out << "\n  ]\n}\n";
+  std::ostringstream out = open_document({.schema = kOnlineSchema,
+                                          .platform = baseline.platform,
+                                          .repetitions = baseline.repetitions});
+  out << "  \"warmup_runs\": 1,\n";
+  write_rows(out, "series", baseline.series,
+             [](std::ostream& row, const PerfOnlineSeries& s) {
+               row << "{\"label\": \"" << s.label << "\", "
+                   << "\"workload\": \"" << s.workload << "\", "
+                   << "\"n\": " << s.n << ", "
+                   << "\"rate\": " << s.rate << ", "
+                   << "\"makespan_stretch\": " << s.makespan_stretch << ", "
+                   << "\"deadline_miss_rate\": " << s.deadline_miss_rate
+                   << ", "
+                   << "\"shed_fraction\": " << s.shed_fraction << ", "
+                   << "\"replan_tasks_per_sec\": " << s.replan_tasks_per_sec
+                   << ", "
+                   << "\"replans\": " << s.replans << ", "
+                   << "\"final_mode\": \"" << s.final_mode << "\", "
+                   << "\"zero_drop\": " << (s.zero_drop ? "true" : "false")
+                   << "}";
+             });
+  out << "\n}\n";
   return out.str();
-}
-
-bool write_perf_online_json(const PerfOnlineBaseline& baseline,
-                            const std::string& path) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << perf_online_to_json(baseline);
-  return static_cast<bool>(file);
 }
 
 bool validate_perf_online_json(const std::string& json_text,
                                std::string* error) {
-  const auto fail = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
+  obs::JsonValue doc;
+  if (!parse_bench_json(json_text, kOnlineSchema, &doc, error)) return false;
+  const obs::JsonArray* series = array_field(doc, "series");
+  if (series == nullptr) {
+    if (error != nullptr) *error = "missing series array";
     return false;
-  };
-  if (!jsonscan::balanced_json(json_text, error)) return false;
-  if (jsonscan::string_field(json_text, "schema").value_or("") !=
-      "hp-bench-online/v1") {
-    return fail("missing or wrong schema tag (want hp-bench-online/v1)");
   }
 
-  bool saw_batch_equivalent = false;
-  bool saw_saturating = false;
+  std::vector<std::string> labels;
   std::string problems;
   const auto problem = [&](const std::string& why) {
     if (!problems.empty()) problems += "; ";
     problems += why;
   };
-
-  const bool walked = jsonscan::for_each_array_object(
-      json_text, "series", [&](const std::string& obj) {
-        const std::string label =
-            jsonscan::string_field(obj, "label").value_or("");
-        if (label.empty()) {
-          problem("series entry without label");
-          return;
-        }
-        const auto field = [&](const char* name) {
-          return jsonscan::number_field(obj, name);
-        };
-        const std::optional<double> stretch = field("makespan_stretch");
-        const std::optional<double> miss = field("deadline_miss_rate");
-        const std::optional<double> shed = field("shed_fraction");
-        const std::optional<double> rate = field("replan_tasks_per_sec");
-        if (!stretch.has_value() || !std::isfinite(*stretch) ||
-            *stretch <= 0.0) {
-          problem(label + " has no positive makespan_stretch");
-        }
-        if (!miss.has_value() || *miss < 0.0 || *miss > 1.0) {
-          problem(label + " deadline_miss_rate outside [0, 1]");
-        }
-        if (!shed.has_value() || *shed < 0.0 || *shed > 1.0) {
-          problem(label + " shed_fraction outside [0, 1]");
-        }
-        if (!rate.has_value() || !std::isfinite(*rate) || *rate <= 0.0) {
-          problem(label + " has no positive replan_tasks_per_sec");
-        }
-        // The zero-silent-drop invariant is part of the document contract.
-        const std::string raw = obj;
-        if (raw.find("\"zero_drop\": true") == std::string::npos) {
-          problem(label + " does not assert zero_drop");
-        }
-        const std::string mode =
-            jsonscan::string_field(obj, "final_mode").value_or("");
-        if (label == "rate-0x") {
-          saw_batch_equivalent = true;
-          if (std::abs(stretch.value_or(0.0) - 1.0) > 1e-9) {
-            problem("rate-0x stretch is not exactly 1 (the bitwise anchor)");
-          }
-        }
-        if (label == "saturating") {
-          saw_saturating = true;
-          if (mode == "healthy" || mode.empty()) {
-            problem("saturating arm ended in mode '" + mode +
-                    "', expected degraded operation");
-          }
-          if (shed.value_or(0.0) <= 0.0) {
-            problem("saturating arm shed nothing");
-          }
-        }
-      });
-  if (!walked) return fail("missing series array");
-  if (!saw_batch_equivalent) problem("missing rate-0x series");
-  if (!saw_saturating) problem("missing saturating series");
-  if (!problems.empty()) return fail(problems);
-  return true;
+  for (const obs::JsonValue& row : *series) {
+    const std::string label = string_field(row, "label");
+    if (label.empty()) {
+      problem("series entry without label");
+      continue;
+    }
+    labels.push_back(label);
+    const std::optional<double> stretch = number_field(row, "makespan_stretch");
+    const std::optional<double> miss = number_field(row, "deadline_miss_rate");
+    const std::optional<double> shed = number_field(row, "shed_fraction");
+    const std::optional<double> rate = number_field(row, "replan_tasks_per_sec");
+    if (!stretch || *stretch <= 0.0) {
+      problem(label + " has no positive makespan_stretch");
+    }
+    if (!miss || *miss < 0.0 || *miss > 1.0) {
+      problem(label + " deadline_miss_rate outside [0, 1]");
+    }
+    if (!shed || *shed < 0.0 || *shed > 1.0) {
+      problem(label + " shed_fraction outside [0, 1]");
+    }
+    if (!rate || *rate <= 0.0) {
+      problem(label + " has no positive replan_tasks_per_sec");
+    }
+    // The zero-silent-drop invariant is part of the document contract.
+    if (!true_field(row, "zero_drop")) {
+      problem(label + " does not assert zero_drop");
+    }
+    if (label == "rate-0x" && std::abs(stretch.value_or(0.0) - 1.0) > 1e-9) {
+      problem("rate-0x stretch is not exactly 1 (the bitwise anchor)");
+    }
+    if (label == "saturating") {
+      const std::string mode = string_field(row, "final_mode");
+      if (mode == "healthy" || mode.empty()) {
+        problem("saturating arm ended in mode '" + mode +
+                "', expected degraded operation");
+      }
+      if (shed.value_or(0.0) <= 0.0) problem("saturating arm shed nothing");
+    }
+  }
+  if (const std::string missing =
+          missing_series({"rate-0x", "saturating"}, labels);
+      !missing.empty()) {
+    problem(missing);
+  }
+  if (problems.empty()) return true;
+  if (error != nullptr) *error = problems;
+  return false;
 }
 
 }  // namespace hp::perf

@@ -12,11 +12,14 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/platform.hpp"
 
 namespace hp::perf {
+
+inline constexpr std::string_view kOnlineSchema = "hp-bench-online/v1";
 
 struct PerfOnlineOptions {
   /// Independent-instance size (tasks).
@@ -29,7 +32,6 @@ struct PerfOnlineOptions {
   std::vector<double> rate_factors = {0.0, 0.5, 1.0, 2.0, 4.0};
   /// Relative-deadline factor of the generated streams (x min(p, q)).
   double deadline_factor = 4.0;
-  bool verbose = false;  ///< progress lines on stderr
 };
 
 /// One arm of the sweep.
@@ -53,17 +55,14 @@ struct PerfOnlineBaseline {
   std::vector<PerfOnlineSeries> series;
 };
 
-/// Run the sweep and the saturating arm. Deterministic (seeded from n).
+/// Run the sweep and the saturating arm, with progress lines on stderr.
+/// Deterministic (seeded from n).
 [[nodiscard]] PerfOnlineBaseline run_perf_online(
     const PerfOnlineOptions& options);
 
 /// Serialize to the BENCH_online.json document (schema "hp-bench-online/v1").
 [[nodiscard]] std::string perf_online_to_json(
     const PerfOnlineBaseline& baseline);
-
-/// Write the JSON document to `path`. Returns false on I/O failure.
-bool write_perf_online_json(const PerfOnlineBaseline& baseline,
-                            const std::string& path);
 
 /// Validate an emitted BENCH_online.json: parses, carries the v1 schema
 /// tag, holds a series for every expected label with sane metrics (finite

@@ -1,15 +1,12 @@
 #include "perf/perf_serve.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 
 #include "model/generators.hpp"
 #include "online/runtime.hpp"
-#include "perf/json_scan.hpp"
+#include "perf/bench_common.hpp"
 #include "serve/driver.hpp"
 #include "util/rng.hpp"
 
@@ -91,22 +88,6 @@ PerfServeSeries measure_arm(const std::string& label,
   return s;
 }
 
-void append_json_series(std::ostringstream& out, const PerfServeSeries& s,
-                        bool first) {
-  if (!first) out << ",";
-  out << "\n    {\"label\": \"" << s.label << "\", "
-      << "\"workers\": " << s.workers << ", "
-      << "\"clients\": " << s.clients << ", "
-      << "\"submitted\": " << s.submitted << ", "
-      << "\"completed\": " << s.completed << ", "
-      << "\"rejected\": " << s.rejected << ", "
-      << "\"deferred\": " << s.deferred << ", "
-      << "\"requests_per_sec\": " << s.requests_per_sec << ", "
-      << "\"p50_latency_ms\": " << s.p50_latency_ms << ", "
-      << "\"p99_latency_ms\": " << s.p99_latency_ms << ", "
-      << "\"zero_drop\": " << (s.zero_drop ? "true" : "false") << "}";
-}
-
 }  // namespace
 
 PerfServeBaseline run_perf_serve(const PerfServeOptions& options) {
@@ -115,8 +96,7 @@ PerfServeBaseline run_perf_serve(const PerfServeOptions& options) {
   out.repetitions = std::max(1, options.repetitions);
   out.tasks_per_request = options.tasks_per_request;
 
-  const auto note = [&](const PerfServeSeries& s) {
-    if (!options.verbose) return;
+  const auto note = [](const PerfServeSeries& s) {
     std::cerr << "[perf-serve] " << s.label << ": " << s.requests_per_sec
               << " req/s, p50 " << s.p50_latency_ms << " ms, p99 "
               << s.p99_latency_ms << " ms, rejected " << s.rejected << '\n';
@@ -151,101 +131,91 @@ PerfServeBaseline run_perf_serve(const PerfServeOptions& options) {
 }
 
 std::string perf_serve_to_json(const PerfServeBaseline& baseline) {
-  std::ostringstream out;
-  out.precision(10);
-  out << "{\n"
-      << "  \"schema\": \"hp-bench-serve/v1\",\n"
-      << "  \"platform\": {\"cpus\": " << baseline.platform.cpus()
-      << ", \"gpus\": " << baseline.platform.gpus() << "},\n"
-      << "  \"repetitions\": " << baseline.repetitions << ",\n"
-      << "  \"tasks_per_request\": " << baseline.tasks_per_request << ",\n"
-      << "  \"series\": [";
-  for (std::size_t i = 0; i < baseline.series.size(); ++i) {
-    append_json_series(out, baseline.series[i], i == 0);
-  }
-  out << "\n  ]\n}\n";
+  std::ostringstream out = open_document({.schema = kServeSchema,
+                                          .platform = baseline.platform,
+                                          .repetitions = baseline.repetitions});
+  out << "  \"tasks_per_request\": " << baseline.tasks_per_request << ",\n";
+  write_rows(out, "series", baseline.series,
+             [](std::ostream& row, const PerfServeSeries& s) {
+               row << "{\"label\": \"" << s.label << "\", "
+                   << "\"workers\": " << s.workers << ", "
+                   << "\"clients\": " << s.clients << ", "
+                   << "\"submitted\": " << s.submitted << ", "
+                   << "\"completed\": " << s.completed << ", "
+                   << "\"rejected\": " << s.rejected << ", "
+                   << "\"deferred\": " << s.deferred << ", "
+                   << "\"requests_per_sec\": " << s.requests_per_sec << ", "
+                   << "\"p50_latency_ms\": " << s.p50_latency_ms << ", "
+                   << "\"p99_latency_ms\": " << s.p99_latency_ms << ", "
+                   << "\"zero_drop\": " << (s.zero_drop ? "true" : "false")
+                   << "}";
+             });
+  out << "\n}\n";
   return out.str();
-}
-
-bool write_perf_serve_json(const PerfServeBaseline& baseline,
-                           const std::string& path) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << perf_serve_to_json(baseline);
-  return static_cast<bool>(file);
 }
 
 bool validate_perf_serve_json(const std::string& json_text,
                               std::string* error) {
-  const auto fail = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
+  obs::JsonValue doc;
+  if (!parse_bench_json(json_text, kServeSchema, &doc, error)) return false;
+  const obs::JsonArray* series = array_field(doc, "series");
+  if (series == nullptr) {
+    if (error != nullptr) *error = "missing series array";
     return false;
-  };
-  if (!jsonscan::balanced_json(json_text, error)) return false;
-  if (jsonscan::string_field(json_text, "schema").value_or("") !=
-      "hp-bench-serve/v1") {
-    return fail("missing or wrong schema tag (want hp-bench-serve/v1)");
   }
 
-  bool saw_single_worker = false;
-  bool saw_saturating = false;
+  std::vector<std::string> labels;
   std::string problems;
   const auto problem = [&](const std::string& why) {
     if (!problems.empty()) problems += "; ";
     problems += why;
   };
-
-  const bool walked = jsonscan::for_each_array_object(
-      json_text, "series", [&](const std::string& obj) {
-        const std::string label =
-            jsonscan::string_field(obj, "label").value_or("");
-        if (label.empty()) {
-          problem("series entry without label");
-          return;
-        }
-        const auto field = [&](const char* name) {
-          return jsonscan::number_field(obj, name);
-        };
-        const std::optional<double> rate = field("requests_per_sec");
-        const std::optional<double> p50 = field("p50_latency_ms");
-        const std::optional<double> p99 = field("p99_latency_ms");
-        const std::optional<double> submitted = field("submitted");
-        const std::optional<double> completed = field("completed");
-        const std::optional<double> rejected = field("rejected");
-        if (!rate.has_value() || !std::isfinite(*rate) || *rate <= 0.0) {
-          problem(label + " has no positive requests_per_sec");
-        }
-        if (!p50.has_value() || !std::isfinite(*p50) || *p50 <= 0.0) {
-          problem(label + " has no positive p50_latency_ms");
-        }
-        if (!p99.has_value() || !std::isfinite(*p99) || *p99 <= 0.0) {
-          problem(label + " has no positive p99_latency_ms");
-        }
-        if (p50.has_value() && p99.has_value() && *p99 < *p50) {
-          problem(label + " latency quantiles out of order (p99 < p50)");
-        }
-        if (submitted.has_value() && completed.has_value() &&
-            rejected.has_value() &&
-            *completed + *rejected != *submitted) {
-          problem(label + " does not account for every request");
-        }
-        // The zero-silent-drop invariant is part of the document contract.
-        if (obj.find("\"zero_drop\": true") == std::string::npos) {
-          problem(label + " does not assert zero_drop");
-        }
-        if (label == "workers-1") saw_single_worker = true;
-        if (label == "saturating") {
-          saw_saturating = true;
-          if (rejected.value_or(0.0) <= 0.0) {
-            problem("saturating arm rejected nothing");
-          }
-        }
-      });
-  if (!walked) return fail("missing series array");
-  if (!saw_single_worker) problem("missing workers-1 series");
-  if (!saw_saturating) problem("missing saturating series");
-  if (!problems.empty()) return fail(problems);
-  return true;
+  for (const obs::JsonValue& row : *series) {
+    const std::string label = string_field(row, "label");
+    if (label.empty()) {
+      problem("series entry without label");
+      continue;
+    }
+    labels.push_back(label);
+    const std::optional<double> rate = number_field(row, "requests_per_sec");
+    const std::optional<double> p50 = number_field(row, "p50_latency_ms");
+    const std::optional<double> p99 = number_field(row, "p99_latency_ms");
+    const std::optional<double> submitted = number_field(row, "submitted");
+    const std::optional<double> completed = number_field(row, "completed");
+    const std::optional<double> rejected = number_field(row, "rejected");
+    if (!rate || *rate <= 0.0) {
+      problem(label + " has no positive requests_per_sec");
+    }
+    if (!p50 || *p50 <= 0.0) {
+      problem(label + " has no positive p50_latency_ms");
+    }
+    if (!p99 || *p99 <= 0.0) {
+      problem(label + " has no positive p99_latency_ms");
+    }
+    if (p50 && p99 && *p99 < *p50) {
+      problem(label + " latency quantiles out of order (p99 < p50)");
+    }
+    if (!submitted || !completed || !rejected) {
+      problem(label + " has no submitted/completed/rejected counts");
+    } else if (*completed + *rejected != *submitted) {
+      problem(label + " does not account for every request");
+    }
+    // The zero-silent-drop invariant is part of the document contract.
+    if (!true_field(row, "zero_drop")) {
+      problem(label + " does not assert zero_drop");
+    }
+    if (label == "saturating" && rejected.value_or(0.0) <= 0.0) {
+      problem("saturating arm rejected nothing");
+    }
+  }
+  if (const std::string missing =
+          missing_series({"workers-1", "saturating"}, labels);
+      !missing.empty()) {
+    problem(missing);
+  }
+  if (problems.empty()) return true;
+  if (error != nullptr) *error = problems;
+  return false;
 }
 
 }  // namespace hp::perf

@@ -12,11 +12,14 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/platform.hpp"
 
 namespace hp::perf {
+
+inline constexpr std::string_view kServeSchema = "hp-bench-serve/v1";
 
 struct PerfServeOptions {
   /// Tasks per scheduling request (independent uniform workload).
@@ -29,7 +32,6 @@ struct PerfServeOptions {
   Platform platform{8, 2};
   /// Service worker counts swept ("workers-1", "workers-2", ...).
   std::vector<int> worker_counts = {1, 2, 4};
-  bool verbose = false;  ///< progress lines on stderr
 };
 
 /// One arm of the sweep.
@@ -54,20 +56,18 @@ struct PerfServeBaseline {
   std::vector<PerfServeSeries> series;
 };
 
-/// Run the sweep and the saturating arm. Deterministic workloads (seeded
-/// from the (client, request) cell); wall-clock figures vary with the host.
+/// Run the sweep and the saturating arm, with progress lines on stderr.
+/// Deterministic workloads (seeded from the (client, request) cell);
+/// wall-clock figures vary with the host.
 [[nodiscard]] PerfServeBaseline run_perf_serve(const PerfServeOptions& options);
 
 /// Serialize to the BENCH_serve.json document (schema "hp-bench-serve/v1").
 [[nodiscard]] std::string perf_serve_to_json(const PerfServeBaseline& baseline);
 
-/// Write the JSON document to `path`. Returns false on I/O failure.
-bool write_perf_serve_json(const PerfServeBaseline& baseline,
-                           const std::string& path);
-
 /// Validate an emitted BENCH_serve.json: parses, carries the v1 schema tag,
 /// holds a series for every expected label with sane metrics (positive
-/// throughput, finite ordered latency quantiles), zero_drop true
+/// throughput, finite ordered latency quantiles, submitted/completed/
+/// rejected counts with completed + rejected == submitted), zero_drop true
 /// everywhere, and a saturating series that rejected at least one request.
 /// On failure `*error` names everything wrong, not just the first problem.
 bool validate_perf_serve_json(const std::string& json_text,

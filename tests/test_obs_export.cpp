@@ -10,6 +10,7 @@
 #include "core/heteroprio_dag.hpp"
 #include "dag/ranking.hpp"
 #include "linalg/cholesky.hpp"
+#include "obs/json.hpp"
 #include "obs/recorder.hpp"
 
 namespace hp {
@@ -98,6 +99,27 @@ TEST(ObsChromeTrace, ValidatorRejectsGarbage) {
   EXPECT_FALSE(obs::validate_chrome_trace("{", std::nullopt, &error));
   EXPECT_FALSE(obs::validate_chrome_trace("{\"notTraceEvents\":[]}",
                                           std::nullopt, &error));
+}
+
+TEST(ObsJson, NestingIsCappedWithItsOwnError) {
+  // `{"x": ` then `depth - 1` arrays: `depth` levels in all.
+  const auto nested = [](int depth) {
+    const auto arrays = static_cast<std::size_t>(depth - 1);
+    return "{\"x\": " + std::string(arrays, '[') + std::string(arrays, ']') +
+           "}";
+  };
+  obs::JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(obs::json_parse(nested(obs::kJsonMaxDepth), &doc, &error))
+      << error;
+  EXPECT_FALSE(obs::json_parse(nested(obs::kJsonMaxDepth + 1), &doc, &error));
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+
+  // Far past the cap the parser still returns an error instead of
+  // recursing until the stack overflows.
+  EXPECT_FALSE(
+      obs::json_parse("{\"x\": " + std::string(2000000, '['), &doc, &error));
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
 }
 
 TEST(ObsChromeTrace, AbortedSlicesAreMarked) {

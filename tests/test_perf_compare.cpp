@@ -1,7 +1,9 @@
 // perf-check reporting (perf/perf_compare.hpp) and the BENCH validators:
 // series are joined by identity across reordered documents, regressions and
 // disappearances are named with deltas, and the validators list every
-// missing series instead of failing on the first.
+// missing series instead of failing on the first. The validators read
+// strict JSON: text that does not parse, non-finite numbers and fields
+// outside their real path are rejected.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,8 @@
 #include "perf/perf_baseline.hpp"
 #include "perf/perf_compare.hpp"
 #include "perf/perf_dag.hpp"
+#include "perf/perf_online.hpp"
+#include "perf/perf_serve.hpp"
 
 namespace hp::perf {
 namespace {
@@ -134,6 +138,28 @@ TEST(PerfValidate, RejectsOldSchemaMissingArenaAndMissingHardwareThreads) {
   no_hw.replace(no_hw.find("hardware_threads"), 16, "other_field_name");
   EXPECT_FALSE(validate_perf_baseline_json(no_hw, {1000}, &error));
   EXPECT_NE(error.find("hardware_threads"), std::string::npos) << error;
+
+  // The arena footprint is read at arena.high_water_bytes, not wherever a
+  // field of that name happens to appear.
+  std::string arena_elsewhere = doc;
+  arena_elsewhere.replace(arena_elsewhere.find("\"arena\": {"), 10,
+                          "\"other\": {");
+  EXPECT_FALSE(validate_perf_baseline_json(arena_elsewhere, {1000}, &error));
+  EXPECT_NE(error.find("arena"), std::string::npos) << error;
+
+  // A NaN throughput is not a measurement (and not JSON); neither is one
+  // that overflows to infinity.
+  std::string nan_rate = core_doc(1e7, 5e6);
+  nan_rate.replace(nan_rate.find("10000000.000000"), 15, "nan");
+  EXPECT_FALSE(validate_perf_baseline_json(nan_rate, {1000}, &error));
+  std::string inf_rate = core_doc(1e7, 5e6);
+  inf_rate.replace(inf_rate.find("10000000.000000"), 15, "1e999");
+  EXPECT_FALSE(validate_perf_baseline_json(inf_rate, {1000}, &error));
+
+  // Balanced braces are not enough: the document must be strict JSON.
+  std::string double_comma = doc;
+  double_comma.replace(double_comma.find("\"soa\","), 6, "\"soa\",,");
+  EXPECT_FALSE(validate_perf_baseline_json(double_comma, {1000}, &error));
 }
 
 std::string dag_doc(bool with_heft) {
@@ -170,6 +196,89 @@ TEST(PerfValidate, DagValidatorChecksCpFieldsAndListsMissing) {
   std::string bad = dag_doc(true);
   bad.replace(bad.find("0.85"), 4, "1.85");
   EXPECT_FALSE(validate_perf_dag_json(bad, {"cholesky"}, {10}, &error));
+
+  // NaN compares false against both ends of the range; it must still fail.
+  std::string nan_cp = dag_doc(true);
+  nan_cp.replace(nan_cp.find("0.85"), 4, "nan");
+  EXPECT_FALSE(validate_perf_dag_json(nan_cp, {"cholesky"}, {10}, &error));
+}
+
+std::string online_doc(const std::string& zero_drop) {
+  return R"({
+  "schema": "hp-bench-online/v1",
+  "series": [
+    {"label": "rate-0x", "makespan_stretch": 1, "deadline_miss_rate": 0.01,
+     "shed_fraction": 0, "replan_tasks_per_sec": 2000000,
+     "final_mode": "degraded", "zero_drop": true},
+    {"label": "saturating", "makespan_stretch": 1.5,
+     "deadline_miss_rate": 0.2, "shed_fraction": 0.3,
+     "replan_tasks_per_sec": 900000, "final_mode": "shedding", )" +
+         zero_drop + R"(}
+  ]
+}
+)";
+}
+
+TEST(PerfValidate, OnlineValidatorChecksInvariants) {
+  std::string error;
+  EXPECT_TRUE(validate_perf_online_json(online_doc("\"zero_drop\": true"),
+                                        &error))
+      << error;
+  // Any JSON spacing of the zero-drop flag is the same document.
+  EXPECT_TRUE(validate_perf_online_json(online_doc("\"zero_drop\":true"),
+                                        &error))
+      << error;
+  EXPECT_FALSE(validate_perf_online_json(online_doc("\"zero_drop\": false"),
+                                         &error));
+  EXPECT_NE(error.find("saturating does not assert zero_drop"),
+            std::string::npos)
+      << error;
+
+  std::string nan_miss = online_doc("\"zero_drop\": true");
+  nan_miss.replace(nan_miss.find("0.01"), 4, "nan");
+  EXPECT_FALSE(validate_perf_online_json(nan_miss, &error));
+}
+
+std::string serve_doc(const std::string& zero_drop,
+                      const std::string& saturating_counts) {
+  return R"({
+  "schema": "hp-bench-serve/v1",
+  "series": [
+    {"label": "workers-1", "submitted": 256, "completed": 256,
+     "rejected": 0, "requests_per_sec": 14000, "p50_latency_ms": 0.3,
+     "p99_latency_ms": 1.2, "zero_drop": true},
+    {"label": "saturating", )" +
+         saturating_counts + R"("requests_per_sec": 9000,
+     "p50_latency_ms": 0.1, "p99_latency_ms": 2.5, )" +
+         zero_drop + R"(}
+  ]
+}
+)";
+}
+
+TEST(PerfValidate, ServeValidatorChecksAccounting) {
+  const std::string counts =
+      R"("submitted": 256, "completed": 200, "rejected": 56, )";
+  std::string error;
+  EXPECT_TRUE(validate_perf_serve_json(
+      serve_doc("\"zero_drop\": true", counts), &error))
+      << error;
+  EXPECT_TRUE(validate_perf_serve_json(
+      serve_doc("\"zero_drop\":true", counts), &error))
+      << error;
+  EXPECT_FALSE(validate_perf_serve_json(
+      serve_doc("\"zero_drop\": false", counts), &error));
+
+  // The accounting identity completed + rejected == submitted needs all
+  // three counts; a row without them cannot show it holds.
+  EXPECT_FALSE(validate_perf_serve_json(
+      serve_doc("\"zero_drop\": true", R"("completed": 200, "rejected": 56, )"),
+      &error));
+  EXPECT_NE(error.find("saturating"), std::string::npos) << error;
+  EXPECT_FALSE(validate_perf_serve_json(
+      serve_doc("\"zero_drop\": true",
+                R"("submitted": 256, "completed": 199, "rejected": 56, )"),
+      &error));
 }
 
 TEST(PerfCompare, DagSeriesKeysUseKernelAndTiles) {

@@ -13,6 +13,7 @@
 // `trace` and `report` auto-detect which one they got.
 
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "baselines/dualhp.hpp"
 #include "baselines/heft.hpp"
@@ -46,6 +48,7 @@
 #include "obs/export_csv.hpp"
 #include "obs/export_flame.hpp"
 #include "obs/export_prometheus.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/recorder.hpp"
@@ -55,7 +58,7 @@
 #include "model/generators.hpp"
 #include "serve/driver.hpp"
 #include "util/rng.hpp"
-#include "perf/json_scan.hpp"
+#include "perf/bench_common.hpp"
 #include "perf/perf_baseline.hpp"
 #include "perf/perf_compare.hpp"
 #include "perf/perf_dag.hpp"
@@ -125,8 +128,6 @@ int usage() {
       "           [--watermark K] [--watermark-low K] [--shed defer|reject]\n"
       "           [--backend hp|hp-nospol|heft|dualhp|mixed] [--rank avg|min|fifo]\n"
       "           [--no-verify]\n"
-      "  hp_sched perf     --out FILE [--dag-out FILE] [--quick] [--reps K]\n"
-      "           [--threads N]\n"
       "  hp_sched perf-check --in FILE [--quick] [--against OLD]\n"
       "           [--tolerance X] [--budget X]\n"
       "  hp_sched fuzz     --seed S --runs N [--scheduler hp,heft,...|all]\n"
@@ -925,63 +926,14 @@ int cmd_online(const Args& args) {
   return 0;
 }
 
-/// Measure the core perf baseline and emit BENCH_core.json; with
-/// `--dag-out`, also measure the DAG baseline and emit BENCH_dag.json.
-/// `--quick` is the CI smoke configuration (n=1000, N in {4,8} tiles, tiny
-/// sweep; seconds of runtime).
-int cmd_perf(const Args& args) {
-  perf::PerfBaselineOptions options;
-  perf::PerfDagOptions dag_options;
-  if (args.options.count("quick")) {
-    options.sizes = {1000};
-    options.repetitions = 2;
-    options.sweep_tiles = {4, 8};
-    dag_options.tile_counts = {4, 8};
-    dag_options.repetitions = 2;
-  }
-  options.repetitions = args.get_int("reps", options.repetitions);
-  options.sweep_threads = args.get_int("threads", options.sweep_threads);
-  dag_options.repetitions = args.get_int("reps", dag_options.repetitions);
-  const std::string out = args.get("out", "BENCH_core.json");
-
-  const perf::PerfBaseline baseline = perf::run_perf_baseline(options);
-  if (!perf::write_perf_baseline_json(baseline, out)) {
-    std::cerr << "cannot write " << out << '\n';
-    return 1;
-  }
-  std::cout << "wrote " << out << " (" << baseline.series.size()
-            << " series";
-  if (baseline.speedup_n != 0) {
-    std::cout << ", speedup vs reference at n=" << baseline.speedup_n << ": "
-              << baseline.speedup_vs_reference << "x";
-  }
-  std::cout << ")\n";
-
-  if (const std::string dag_out = args.get("dag-out"); !dag_out.empty()) {
-    const perf::PerfDagBaseline dag = perf::run_perf_dag(dag_options);
-    if (!perf::write_perf_dag_json(dag, dag_out)) {
-      std::cerr << "cannot write " << dag_out << '\n';
-      return 1;
-    }
-    std::cout << "wrote " << dag_out << " (" << dag.series.size()
-              << " series";
-    for (const perf::PerfDagSpeedup& s : dag.speedups) {
-      std::cout << ", " << s.algorithm << " vs ref on " << s.kernel << " N="
-                << s.tiles << ": " << s.value << "x";
-    }
-    std::cout << ")\n";
-  }
-  return 0;
-}
-
-/// Validate an emitted BENCH file: parses, right schema, every expected
-/// series present (in any order) with a positive throughput — a failure
-/// names each missing series. The schema tag of the file selects the
-/// validator (hp-bench-core/v4, hp-bench-dag/v2 or hp-bench-obs/v1 — the
-/// last also enforces the overhead budget). With `--against OLD`,
-/// additionally join the series against a previous BENCH file and fail if
-/// any series regressed beyond `--tolerance` (default 0.25) or went
-/// missing, printing each one with its delta.
+/// Validate an emitted BENCH file. The document is parsed as strict JSON
+/// and its schema tag selects the checks from one table; an unknown tag is
+/// an error of its own. Every check names each missing series or broken
+/// invariant, not just the first. `--quick` expects the series of the
+/// benches' `--quick` runs and skips the obs overhead budget. With
+/// `--against OLD`, additionally join the series against a previous BENCH
+/// file and fail if any series regressed beyond `--tolerance` (default
+/// 0.25) or went missing, printing each one with its delta.
 int cmd_perf_check(const Args& args) {
   const auto text = io::load_text_file(args.get("in"));
   if (!text.has_value()) {
@@ -989,39 +941,54 @@ int cmd_perf_check(const Args& args) {
     return 1;
   }
   const bool quick = args.options.count("quick") != 0;
-  const std::string schema =
-      perf::jsonscan::string_field(*text, "schema").value_or("");
+  using Check = std::function<bool(const std::string&, std::string*)>;
+  const std::map<std::string_view, Check> checks = {
+      {perf::kCoreSchema,
+       [&](const std::string& doc, std::string* error) {
+         const std::vector<std::size_t> sizes =
+             quick ? std::vector<std::size_t>{1000}
+                   : perf::PerfBaselineOptions{}.sizes;
+         return perf::validate_perf_baseline_json(doc, sizes, error);
+       }},
+      {perf::kDagSchema,
+       [&](const std::string& doc, std::string* error) {
+         const perf::PerfDagOptions defaults;
+         const std::vector<int> tiles =
+             quick ? std::vector<int>{4, 8} : defaults.tile_counts;
+         return perf::validate_perf_dag_json(doc, defaults.kernels, tiles,
+                                             error);
+       }},
+      // The obs check also enforces the overhead budget the document
+      // records (or `--budget X`). `--quick` skips the budget: the smoke
+      // file comes from a loaded CI machine where a 2% gate is all noise.
+      {perf::kObsSchema,
+       [&](const std::string& doc, std::string* error) {
+         return perf::validate_perf_obs_json(doc, error) &&
+                (quick || perf::check_obs_budget(
+                              doc, args.get_double("budget", 0.0), error));
+       }},
+      // Online and serve: structural invariants only; throughput
+      // regressions go through `--against` like every baseline.
+      {perf::kOnlineSchema, perf::validate_perf_online_json},
+      {perf::kServeSchema, perf::validate_perf_serve_json},
+  };
+
+  obs::JsonValue doc;
   std::string error;
-  bool ok = false;
-  if (schema.rfind("hp-bench-dag/", 0) == 0) {
-    const std::vector<int> tiles =
-        quick ? std::vector<int>{4, 8} : std::vector<int>{10, 20, 40, 60};
-    ok = perf::validate_perf_dag_json(*text, {"cholesky", "qr", "lu"}, tiles,
-                                      &error);
-  } else if (schema.rfind("hp-bench-online/", 0) == 0) {
-    // Structural invariants only (zero_drop everywhere, a saturating arm
-    // that left healthy mode, a batch-equivalent arm with stretch 1);
-    // throughput regressions go through `--against` like every baseline.
-    ok = perf::validate_perf_online_json(*text, &error);
-  } else if (schema.rfind("hp-bench-serve/", 0) == 0) {
-    // Structural invariants only (zero_drop everywhere, ordered latency
-    // quantiles, a saturating arm that actually rejected work); throughput
-    // regressions go through `--against` like every baseline.
-    ok = perf::validate_perf_serve_json(*text, &error);
-  } else if (schema.rfind("hp-bench-obs/", 0) == 0) {
-    // Validate the document, then enforce the overhead budget it records
-    // (or `--budget X`). `--quick` skips the budget: the smoke file comes
-    // from a loaded CI machine where a 2% gate would be all noise.
-    ok = perf::validate_perf_obs_json(*text, &error) &&
-         (quick || perf::check_obs_budget(
-                       *text, args.get_double("budget", 0.0), &error));
-  } else {
-    const std::vector<std::size_t> sizes =
-        quick ? std::vector<std::size_t>{1000}
-              : std::vector<std::size_t>{1000, 10000, 100000};
-    ok = perf::validate_perf_baseline_json(*text, sizes, &error);
+  if (!obs::json_parse(*text, &doc, &error)) {
+    std::cerr << "invalid baseline: " << error << '\n';
+    return 1;
   }
-  if (!ok) {
+  const std::string schema = perf::string_field(doc, "schema");
+  const auto check = checks.find(schema);
+  if (check == checks.end()) {
+    std::cerr << "invalid baseline: unknown schema tag '" << schema
+              << "' (known:";
+    for (const auto& [tag, unused] : checks) std::cerr << ' ' << tag;
+    std::cerr << ")\n";
+    return 1;
+  }
+  if (!check->second(*text, &error)) {
     std::cerr << "invalid baseline: " << error << '\n';
     return 1;
   }
@@ -1338,7 +1305,6 @@ int main(int argc, char** argv) {
   if (command == "faults") return cmd_faults(args);
   if (command == "online") return cmd_online(args);
   if (command == "serve") return cmd_serve(args);
-  if (command == "perf") return cmd_perf(args);
   if (command == "perf-check") return cmd_perf_check(args);
   if (command == "fuzz") return cmd_fuzz(args);
   if (command == "corpus") return cmd_corpus(args);
