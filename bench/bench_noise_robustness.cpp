@@ -40,7 +40,6 @@
 #include "linalg/qr.hpp"
 #include "perf/parallel_args.hpp"
 #include "runtime/stf_runtime.hpp"
-#include "sched/executor.hpp"
 #include "baselines/dualhp.hpp"
 #include "baselines/heft.hpp"
 #include "util/rng.hpp"
@@ -159,25 +158,14 @@ int main(int argc, char** argv) {
       hp_ratio.push_back(
           heteroprio_dag(graph, platform, hp_options).makespan() /
           reference);
-      if (with_faults) {
-        heft_ratio.push_back(fault::execute_plan_with_faults(
-                                 heft_plan, graph, platform, plan, actuals)
-                                 .schedule.makespan() /
-                             reference);
-        dual_ratio.push_back(fault::execute_plan_with_faults(
-                                 dual_plan, graph, platform, plan, actuals)
-                                 .schedule.makespan() /
-                             reference);
-      } else {
-        heft_ratio.push_back(
-            execute_static_plan(heft_plan, graph, platform, actuals)
-                .makespan() /
-            reference);
-        dual_ratio.push_back(
-            execute_static_plan(dual_plan, graph, platform, actuals)
-                .makespan() /
-            reference);
-      }
+      heft_ratio.push_back(fault::execute_plan_with_faults(
+                               heft_plan, graph, platform, plan, actuals)
+                               .schedule.makespan() /
+                           reference);
+      dual_ratio.push_back(fault::execute_plan_with_faults(
+                               dual_plan, graph, platform, plan, actuals)
+                               .schedule.makespan() /
+                           reference);
       if (sigma == 0.0 && !with_faults) break;  // deterministic single seed
     }
     rows[cell] = Row{util::mean(hp_ratio), util::mean(heft_ratio),

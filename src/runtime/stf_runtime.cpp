@@ -9,7 +9,6 @@
 #include "core/heteroprio_dag.hpp"
 #include "fault/replay.hpp"
 #include "obs/replay.hpp"
-#include "sched/executor.hpp"
 
 namespace hp::runtime {
 
@@ -84,19 +83,17 @@ double StfRuntime::run() {
   const fault::FaultPlan* faults = options_.faults;
   const bool faulty = faults != nullptr && !faults->empty();
 
-  // Run a static plan under the actual durations: the exact fault-free
-  // replay, or the failover replay when a fault plan is live.
+  // Run a static plan under the actual durations through the failover
+  // replay (an empty plan injects nothing). Without faults the sink gets
+  // the realized schedule replayed as a full ready/start/complete stream.
+  const fault::FaultPlan no_faults;
   auto run_static_plan = [&](const Schedule& plan) {
-    if (faulty) {
-      fault::FaultyReplayResult replayed = fault::execute_plan_with_faults(
-          plan, graph_, platform_, *faults, actuals_, options_.sink);
-      schedule_ = std::move(replayed.schedule);
-      stats_.recovery = replayed.recovery;
-      return;
-    }
-    schedule_ = execute_static_plan(plan, graph_, platform_, actuals_);
-    // Replay the *realized* schedule, not the estimate-time plan.
-    obs::replay_schedule_to(schedule_, platform_, options_.sink);
+    fault::FaultyReplayResult replayed = fault::execute_plan_with_faults(
+        plan, graph_, platform_, faulty ? *faults : no_faults, actuals_,
+        faulty ? options_.sink : nullptr);
+    schedule_ = std::move(replayed.schedule);
+    stats_.recovery = replayed.recovery;
+    if (!faulty) obs::replay_schedule_to(schedule_, platform_, options_.sink);
   };
 
   stats_ = HeteroPrioStats{};
