@@ -1,5 +1,6 @@
 #include "obs/event.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace hp::obs {
@@ -20,6 +21,20 @@ constexpr const char* kKindNames[kNumEventKinds] = {
     "reschedule-tick", "mode-change",
     "straggler-respawn",
 };
+
+int tie_rank(EventKind kind) noexcept {
+  switch (kind) {
+    case EventKind::kAbort:
+    case EventKind::kComplete: return 0;
+    case EventKind::kSpoliateCommit:
+    case EventKind::kWorkerCrash:
+    case EventKind::kTaskFail: return 1;
+    case EventKind::kReady:
+    case EventKind::kTaskRetry: return 2;
+    case EventKind::kStart: return 3;
+    default: return 4;
+  }
+}
 }  // namespace
 
 const char* event_kind_name(EventKind kind) noexcept {
@@ -35,6 +50,17 @@ bool event_kind_from_name(const char* name, EventKind* out) noexcept {
     }
   }
   return false;
+}
+
+void sort_events(std::span<Event> events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const Event& x, const Event& y) {
+                     if (x.time != y.time) return x.time < y.time;
+                     const int rx = tie_rank(x.kind);
+                     const int ry = tie_rank(y.kind);
+                     if (rx != ry) return rx < ry;
+                     return x.task < y.task;
+                   });
 }
 
 }  // namespace hp::obs

@@ -1,25 +1,6 @@
 #include "obs/replay.hpp"
 
-#include <algorithm>
-
 namespace hp::obs {
-
-namespace {
-
-/// Tie rank at equal times: free the worker (abort/complete) before
-/// re-occupying it (start), with markers and ready events in between.
-int tie_rank(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::kAbort:
-    case EventKind::kComplete: return 0;
-    case EventKind::kSpoliateCommit: return 1;
-    case EventKind::kReady: return 2;
-    case EventKind::kStart: return 3;
-    default: return 4;
-  }
-}
-
-}  // namespace
 
 std::vector<Event> replay_schedule(const Schedule& schedule,
                                    const Platform& platform) {
@@ -56,14 +37,7 @@ std::vector<Event> replay_schedule(const Schedule& schedule,
     }
   }
 
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Event& x, const Event& y) {
-                     if (x.time != y.time) return x.time < y.time;
-                     const int rx = tie_rank(x.kind);
-                     const int ry = tie_rank(y.kind);
-                     if (rx != ry) return rx < ry;
-                     return x.task < y.task;
-                   });
+  sort_events(events);
 
   // Queue-depth samples, one per distinct instant, so replayed plans get
   // the same Perfetto counter track as the dynamic schedulers. The
