@@ -90,8 +90,10 @@ ScheduleCheck check_core(const Schedule& schedule, std::span<const Task> tasks,
 
   for (std::size_t w = 0; w < by_worker.size(); ++w) {
     auto& segs = by_worker[w];
-    std::sort(segs.begin(), segs.end(),
-              [](const Segment& a, const Segment& b) { return a.start < b.start; });
+    // Ties on start put a zero-length segment before the one it abuts.
+    std::sort(segs.begin(), segs.end(), [](const Segment& a, const Segment& b) {
+      return a.start != b.start ? a.start < b.start : a.end < b.end;
+    });
     for (std::size_t i = 1; i < segs.size(); ++i) {
       if (segs[i].start < segs[i - 1].end - tol) {
         oss << "worker " << w << ": task " << segs[i].task << " starts at "

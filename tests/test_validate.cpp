@@ -44,6 +44,37 @@ TEST(Validate, RejectsOverlapOnWorker) {
   EXPECT_FALSE(check_schedule(s, tasks, Platform(1, 1)).ok);
 }
 
+TEST(Validate, AcceptsZeroLengthPlacementAtASegmentBoundary) {
+  // A zero-length task at the start or the end of another task on the same
+  // worker occupies no time; try both id orders.
+  const Platform platform(1, 0);
+  for (const double at : {0.0, 1.0}) {
+    for (const bool zero_first : {true, false}) {
+      const TaskId zero = zero_first ? 0 : 1;
+      std::vector<Task> tasks(2, Task{1.0, 1.0});
+      tasks[static_cast<std::size_t>(zero)] = Task{0.0, 0.0};
+      Schedule s(2);
+      s.place(zero, 0, at, at);
+      s.place(1 - zero, 0, 0.0, 1.0);
+      const auto check = check_schedule(s, tasks, platform);
+      EXPECT_TRUE(check.ok) << "at " << at << ": " << check.message;
+    }
+  }
+}
+
+TEST(Validate, RejectsZeroLengthPlacementInsideAnotherTask) {
+  const Platform platform(1, 0);
+  for (const bool zero_first : {true, false}) {
+    const TaskId zero = zero_first ? 0 : 1;
+    std::vector<Task> tasks(2, Task{2.0, 2.0});
+    tasks[static_cast<std::size_t>(zero)] = Task{0.0, 0.0};
+    Schedule s(2);
+    s.place(zero, 0, 1.0, 1.0);
+    s.place(1 - zero, 0, 0.0, 2.0);
+    EXPECT_FALSE(check_schedule(s, tasks, platform).ok) << zero_first;
+  }
+}
+
 TEST(Validate, RejectsInvalidWorker) {
   const auto tasks = two_tasks();
   Schedule s(2);
