@@ -9,9 +9,10 @@
 #include "bounds/area_bound.hpp"
 #include "core/heteroprio.hpp"
 #include "model/instance.hpp"
+#include "obs/export_csv.hpp"
+#include "obs/recorder.hpp"
 #include "sched/gantt.hpp"
 #include "sched/metrics.hpp"
-#include "sim/trace.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -39,14 +40,15 @@ int main() {
   }
   task_table.print(std::cout);
 
-  // Run HeteroPrio with a verbose execution log.
-  sim::TimelineLog log(true);
+  // Run HeteroPrio with its event stream recorded for an execution log.
+  obs::EventRecorder recorder;
   HeteroPrioOptions options;
-  options.log = &log;
+  options.sink = &recorder;
   HeteroPrioStats stats;
   const Schedule schedule = heteroprio(inst.tasks(), platform, options, &stats);
 
-  std::cout << "\nExecution log:\n" << log.to_string(platform);
+  std::cout << "\nExecution log:\n"
+            << obs::text_from_events(recorder.events(), platform);
 
   std::cout << "\nGantt ('.' = work lost to spoliation):\n"
             << render_gantt(schedule, platform, {.width = 80});

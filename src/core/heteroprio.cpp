@@ -410,20 +410,7 @@ Schedule run_heteroprio(std::span<const Task> tasks, const TaskGraph* graph,
   obs::MetricsCollector* const metrics = options.metrics;
   const obs::PhaseScope engine_scope(metrics, obs::Phase::kEngine);
 
-  // Route events through a stack fanout only when both a scheduler sink and
-  // an enabled legacy log are present; otherwise the probe points straight
-  // at whichever is live, keeping the hot path at one pointer test.
-  sim::TimelineLog* log =
-      (options.log != nullptr && options.log->enabled()) ? options.log
-                                                         : nullptr;
-  obs::FanoutSink fanout(options.sink, log);
-  obs::EventSink* sink = options.sink;
-  if (sink != nullptr && log != nullptr) {
-    sink = &fanout;
-  } else if (sink == nullptr) {
-    sink = log;
-  }
-  const obs::Probe probe(sink);
+  const obs::Probe probe(options.sink);
 
   // Fault injection is entirely gated on `faulty`: with no plan (or an
   // empty one) not a single extra event is pushed, no extra state is
@@ -443,8 +430,8 @@ Schedule run_heteroprio(std::span<const Task> tasks, const TaskGraph* graph,
   // queue, probes, tracker, incremental running sets) is unobservable under
   // these preconditions, so the schedule and counters are bitwise identical
   // to the general loop below (pinned by test_soa_regression).
-  if (graph == nullptr && !faulty && sink == nullptr && platform.workers() > 0 &&
-      platform.workers() <= 63) {
+  if (graph == nullptr && !faulty && options.sink == nullptr &&
+      platform.workers() > 0 && platform.workers() <= 63) {
     // Keys-only build: this path gathers durations from the AoS records in
     // queue order and never reads the flat SoA arrays.
     const soa::SortKeys sort_keys = [&] {
@@ -484,7 +471,7 @@ Schedule run_heteroprio(std::span<const Task> tasks, const TaskGraph* graph,
   }
 
   sim::WorkerPool pool(platform);
-  pool.attach_sink(sink);
+  pool.attach_sink(options.sink);
   sim::EventQueue<EngineEvent> events;
   const std::span<std::uint64_t> generation =
       arena.alloc_zeroed<std::uint64_t>(

@@ -22,7 +22,6 @@
 #include "model/task.hpp"
 #include "obs/event.hpp"
 #include "sched/schedule.hpp"
-#include "sim/trace.hpp"
 
 namespace hp {
 
@@ -42,8 +41,6 @@ struct HeteroPrioOptions {
   /// Disable to obtain the pure list schedule S_HP^NS of §4.1.
   bool enable_spoliation = true;
   VictimOrder victim_order = VictimOrder::kAuto;
-  /// Optional execution log (verbose examples / debugging).
-  sim::TimelineLog* log = nullptr;
   /// Actual per-task execution times, parallel to the scheduled tasks.
   /// When non-empty, the scheduler *decides* with the (estimated) task
   /// times — queue order, expected completion times, spoliation tests —

@@ -95,9 +95,6 @@ Schedule run_heteroprio_reference(std::span<const Task> tasks,
     const double finish = pool.start(w, id, now, dt);
     ++generation[static_cast<std::size_t>(w)];
     events.push(finish, CompletionEvent{w, generation[static_cast<std::size_t>(w)]});
-    if (options.log != nullptr) {
-      options.log->record(now, sim::TraceKind::kStart, id, w);
-    }
   };
 
   VictimOrder victim_order = options.victim_order;
@@ -149,11 +146,6 @@ Schedule run_heteroprio_reference(std::span<const Task> tasks,
       ++generation[static_cast<std::size_t>(victim)];  // stale its event
       schedule.add_aborted(aborted.task, victim, aborted.start, now);
       ++local_stats.spoliations;
-      if (options.log != nullptr) {
-        options.log->record(now, sim::TraceKind::kAbort, aborted.task, victim);
-        options.log->record(now, sim::TraceKind::kSpoliate, aborted.task, w,
-                            victim);
-      }
       start_task(w, aborted.task);
       return true;
     }
@@ -206,9 +198,6 @@ Schedule run_heteroprio_reference(std::span<const Task> tasks,
       const sim::Running done = pool.release(w);
       schedule.place(done.task, w, done.start, done.finish);
       ++completed;
-      if (options.log != nullptr) {
-        options.log->record(now, sim::TraceKind::kComplete, done.task, w);
-      }
       if (tracker.has_value()) {
         for (TaskId released : tracker->complete(done.task)) {
           queue.insert(released);

@@ -4,6 +4,8 @@
 #include <limits>
 #include <sstream>
 
+#include "util/table.hpp"
+
 namespace hp::obs {
 
 namespace {
@@ -91,6 +93,34 @@ bool events_from_csv(const std::string& text, std::vector<Event>* out,
   }
   if (line_no == 0) return fail("empty document");
   return true;
+}
+
+std::string text_from_events(std::span<const Event> events,
+                             const Platform& platform) {
+  std::ostringstream oss;
+  const auto on = [&](WorkerId w) {
+    oss << resource_name(platform.type_of(w)) << '#' << w;
+  };
+  for (const Event& e : events) {
+    const char* verb = nullptr;
+    switch (e.kind) {
+      case EventKind::kStart: verb = "start"; break;
+      case EventKind::kComplete: verb = "complete"; break;
+      case EventKind::kAbort: verb = "abort"; break;
+      case EventKind::kSpoliateCommit: verb = "spoliate"; break;
+      default: continue;
+    }
+    oss << "[t=" << util::format_double(e.time, 4) << "] " << verb << " task "
+        << e.task << " on ";
+    on(e.worker);
+    if (e.kind == EventKind::kSpoliateCommit && e.victim >= 0) {
+      oss << " (spoliated from ";
+      on(e.victim);
+      oss << ')';
+    }
+    oss << '\n';
+  }
+  return oss.str();
 }
 
 }  // namespace hp::obs

@@ -7,11 +7,15 @@
 // stream order. This is the plotting/diffing companion of the Chrome
 // exporter: trivially loadable in pandas/gnuplot, and the format the
 // round-trip tests rely on.
+//
+// Beside it sits the human-readable execution log used by the examples:
+// one line per start / complete / abort / spoliate-commit event.
 
 #include <span>
 #include <string>
 #include <vector>
 
+#include "model/platform.hpp"
 #include "obs/event.hpp"
 
 namespace hp::obs {
@@ -23,5 +27,13 @@ namespace hp::obs {
 /// and explains (with line number) in `*error`.
 bool events_from_csv(const std::string& text, std::vector<Event>* out,
                      std::string* error);
+
+/// Render the start, complete, abort and spoliate-commit events of
+/// `events` as an execution log, one line each in stream order, e.g.
+/// "[t=1.25] start task 7 on GPU#1". A spoliate-commit line names its
+/// victim: "[t=4] spoliate task 3 on GPU#2 (spoliated from CPU#1)". Other
+/// kinds are skipped.
+[[nodiscard]] std::string text_from_events(std::span<const Event> events,
+                                           const Platform& platform);
 
 }  // namespace hp::obs

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "bounds/area_bound.hpp"
+#include "obs/export_csv.hpp"
+#include "obs/recorder.hpp"
 #include "sched/validate.hpp"
 
 namespace hp {
@@ -166,25 +169,19 @@ TEST(HeteroPrio, ListPropertyNoIdleWithNonEmptyQueue) {
   EXPECT_DOUBLE_EQ(s.makespan(), 10.0);
 }
 
-// The log is fed through the obs::Probe, so -DHP_OBS_OFF (which compiles
-// out all event emission) legitimately leaves it empty.
+// The log renders the stream fed through the obs::Probe, so -DHP_OBS_OFF
+// (which compiles out all event emission) legitimately leaves it empty.
 #ifndef HP_OBS_OFF
-TEST(HeteroPrio, TimelineLogRecordsEvents) {
+TEST(HeteroPrio, ExecutionLogRecordsEvents) {
   const std::vector<Task> tasks{Task{10.0, 1.0}, Task{10.0, 5.0}};
-  sim::TimelineLog log(true);
+  obs::EventRecorder rec;
   HeteroPrioOptions options;
-  options.log = &log;
+  options.sink = &rec;
   (void)heteroprio(tasks, Platform(1, 1), options);
-  bool saw_start = false, saw_complete = false, saw_spoliate = false;
-  for (const auto& e : log.entries()) {
-    saw_start |= e.kind == sim::TraceKind::kStart;
-    saw_complete |= e.kind == sim::TraceKind::kComplete;
-    saw_spoliate |= e.kind == sim::TraceKind::kSpoliate;
-  }
-  EXPECT_TRUE(saw_start);
-  EXPECT_TRUE(saw_complete);
-  EXPECT_TRUE(saw_spoliate);
-  EXPECT_FALSE(log.to_string(Platform(1, 1)).empty());
+  const std::string text = obs::text_from_events(rec.events(), Platform(1, 1));
+  EXPECT_NE(text.find("] start "), std::string::npos);
+  EXPECT_NE(text.find("] complete "), std::string::npos);
+  EXPECT_NE(text.find("] spoliate "), std::string::npos);
 }
 #endif  // HP_OBS_OFF
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "baselines/heft.hpp"
@@ -10,9 +11,9 @@
 #include "dag/ranking.hpp"
 #include "linalg/cholesky.hpp"
 #include "obs/counters.hpp"
+#include "obs/export_csv.hpp"
 #include "obs/recorder.hpp"
 #include "sched/metrics.hpp"
-#include "sim/trace.hpp"
 
 namespace hp {
 namespace {
@@ -144,26 +145,33 @@ TEST(ObsEvents, QueueDepthAndIdleIntervalsAreRecorded) {
   EXPECT_GE(c.peak_ready_depth, 1);
 }
 
-TEST(ObsEvents, TimelineLogActsAsSink) {
-  // With both a legacy log and a structured sink attached, the log sees the
-  // same start/complete/spoliate/abort entries it always recorded, and the
-  // sink sees the full stream.
+TEST(ObsEvents, TextLogProjectsTheRecordedStream) {
+  // The execution log renders exactly the start/complete/abort/spoliate
+  // events of the recorded stream, which also carries attempts, depths and
+  // idle intervals.
   const std::vector<Task> tasks{Task{1.0, 10.0}};
-  sim::TimelineLog log(true);
   obs::EventRecorder rec;
   HeteroPrioOptions options;
-  options.log = &log;
   options.sink = &rec;
   (void)heteroprio(tasks, Platform(1, 1), options);
-  std::size_t starts = 0;
-  std::size_t spoliates = 0;
-  for (const sim::TraceEntry& e : log.entries()) {
-    if (e.kind == sim::TraceKind::kStart) ++starts;
-    if (e.kind == sim::TraceKind::kSpoliate) ++spoliates;
-  }
-  EXPECT_EQ(starts, rec.count(EventKind::kStart));
-  EXPECT_EQ(spoliates, rec.count(EventKind::kSpoliateCommit));
-  EXPECT_GT(rec.size(), log.entries().size());  // attempts, depths, idles
+  const std::string text = obs::text_from_events(rec.events(), Platform(1, 1));
+  const auto occurrences = [&text](const char* needle) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(occurrences("] start "), rec.count(EventKind::kStart));
+  EXPECT_EQ(occurrences("] spoliate "), 1u);
+  EXPECT_EQ(rec.count(EventKind::kSpoliateCommit), 1u);
+  const std::size_t lines = occurrences("\n");
+  EXPECT_EQ(lines, rec.count(EventKind::kStart) +
+                       rec.count(EventKind::kComplete) +
+                       rec.count(EventKind::kAbort) +
+                       rec.count(EventKind::kSpoliateCommit));
+  EXPECT_GT(rec.size(), lines);  // attempts, depths, idles
 }
 
 TEST(ObsEvents, StaticPlannerReplaysItsSchedule) {

@@ -138,5 +138,95 @@ TEST(ObsChromeTrace, AbortedSlicesAreMarked) {
       << error;
 }
 
+TEST(ObsTextLog, SkipsKindsOutsideTheLog) {
+  const std::vector<Event> events{
+      {.time = 0.0, .kind = EventKind::kReady, .task = 0},
+      {.time = 0.0, .kind = EventKind::kSpoliateAttempt, .worker = 1},
+      {.time = 0.0, .kind = EventKind::kQueueDepth, .value = 1.0},
+      {.time = 0.0, .kind = EventKind::kIdleBegin, .worker = 0},
+  };
+  EXPECT_EQ(obs::text_from_events(events, Platform(1, 1)), "");
+  EXPECT_EQ(obs::text_from_events({}, Platform(1, 1)), "");
+}
+
+TEST(ObsTextLog, KeepsStreamOrder) {
+  const std::vector<Event> events{
+      {.time = 0.0, .kind = EventKind::kStart, .task = 3, .worker = 1},
+      {.time = 2.5, .kind = EventKind::kComplete, .task = 3, .worker = 1},
+  };
+  EXPECT_EQ(obs::text_from_events(events, Platform(1, 1)),
+            "[t=0] start task 3 on GPU#1\n"
+            "[t=2.5] complete task 3 on GPU#1\n");
+}
+
+TEST(ObsTextLog, RendersEventDetails) {
+  const std::vector<Event> events{
+      {.time = 1.25, .kind = EventKind::kStart, .task = 7, .worker = 1}};
+  const std::string text = obs::text_from_events(events, Platform(1, 1));
+  EXPECT_NE(text.find("t=1.25"), std::string::npos);
+  EXPECT_NE(text.find("start"), std::string::npos);
+  EXPECT_NE(text.find("task 7"), std::string::npos);
+  EXPECT_NE(text.find("GPU#1"), std::string::npos);
+}
+
+TEST(ObsTextLog, SpoliationShowsVictim) {
+  const std::vector<Event> events{{.time = 3.0,
+                                   .kind = EventKind::kSpoliateCommit,
+                                   .task = 2,
+                                   .worker = 1,
+                                   .victim = 0}};
+  const std::string text = obs::text_from_events(events, Platform(1, 1));
+  EXPECT_NE(text.find("spoliate"), std::string::npos);
+  EXPECT_NE(text.find("spoliated from CPU#0"), std::string::npos);
+}
+
+TEST(ObsTextLog, AllKindsRender) {
+  const std::vector<Event> events{
+      {.time = 0.0, .kind = EventKind::kStart, .task = 0, .worker = 0},
+      {.time = 1.0, .kind = EventKind::kAbort, .task = 0, .worker = 0},
+      {.time = 1.0,
+       .kind = EventKind::kSpoliateCommit,
+       .task = 0,
+       .worker = 1,
+       .victim = 0},
+      {.time = 2.0, .kind = EventKind::kComplete, .task = 0, .worker = 1},
+  };
+  const std::string text = obs::text_from_events(events, Platform(1, 1));
+  for (const char* word : {"start", "abort", "spoliate", "complete"}) {
+    EXPECT_NE(text.find(word), std::string::npos) << word;
+  }
+}
+
+#ifndef HP_OBS_OFF  // the recorder stays empty without obs
+TEST(ObsTextLog, QuickstartRunMatchesGoldenLog) {
+  // The six independent tasks of examples/quickstart on 2 CPUs + 1 GPU,
+  // where the GPU spoliates task 3 from CPU#1 at t=4.
+  const std::vector<Task> tasks{Task{16.0, 1.0}, Task{12.0, 1.0},
+                                Task{8.0, 2.0},  Task{6.0, 2.0},
+                                Task{2.0, 4.0},  Task{2.5, 5.0}};
+  const Platform platform(2, 1);
+  obs::EventRecorder rec;
+  HeteroPrioOptions options;
+  options.sink = &rec;
+  (void)heteroprio(tasks, platform, options);
+  EXPECT_EQ(obs::text_from_events(rec.events(), platform),
+            "[t=0] start task 0 on GPU#2\n"
+            "[t=0] start task 5 on CPU#0\n"
+            "[t=0] start task 4 on CPU#1\n"
+            "[t=1] complete task 0 on GPU#2\n"
+            "[t=1] start task 1 on GPU#2\n"
+            "[t=2] complete task 4 on CPU#1\n"
+            "[t=2] complete task 1 on GPU#2\n"
+            "[t=2] start task 2 on GPU#2\n"
+            "[t=2] start task 3 on CPU#1\n"
+            "[t=2.5] complete task 5 on CPU#0\n"
+            "[t=4] complete task 2 on GPU#2\n"
+            "[t=4] abort task 3 on CPU#1\n"
+            "[t=4] spoliate task 3 on GPU#2 (spoliated from CPU#1)\n"
+            "[t=4] start task 3 on GPU#2\n"
+            "[t=6] complete task 3 on GPU#2\n");
+}
+#endif  // HP_OBS_OFF
+
 }  // namespace
 }  // namespace hp
