@@ -510,15 +510,9 @@ Schedule run_heteroprio(std::span<const Task> tasks, const TaskGraph* graph,
       queue.insert(id);
       probe.ready(0.0, id);
     }
-  } else if (faulty) {
-    // Crash re-enqueues and retries re-insert into the ready structure, so
-    // the flat presorted form (pop-only) cannot be used; incremental
-    // inserts yield the same queue order with O(log n) searches.
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      queue.insert(static_cast<TaskId>(i));
-      probe.ready(0.0, static_cast<TaskId>(i));
-    }
   } else {
+    // Crash re-enqueues and retries of a faulty run insert into the
+    // presorted buffer like any other insert.
     {
       const obs::PhaseScope sort_scope(metrics, obs::Phase::kSort);
       queue.presort_all(tasks.size(), arena);

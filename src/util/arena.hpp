@@ -168,6 +168,7 @@ class ArenaVector {
   [[nodiscard]] const T* begin() const noexcept { return data_; }
   [[nodiscard]] const T* end() const noexcept { return data_ + size_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] T& operator[](std::size_t i) noexcept { return data_[i]; }
   [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
