@@ -41,19 +41,6 @@ class EventQueue {
     return e;
   }
 
-  /// Conditional pop: pop the earliest event into `*out` iff `pred(top())`
-  /// holds. The predicate only ever sees the queue head, so a drain loop
-  /// (`while (q.pop_if(is_arrival_at_t, &ev)) ...`) consumes exactly the
-  /// leading run of matching events in (time, seq) order and stops at the
-  /// first non-matching one — the batch-draining primitive of the online
-  /// runtime.
-  template <typename Pred>
-  bool pop_if(const Pred& pred, Event* out) {
-    if (heap_.empty() || !pred(heap_.front())) return false;
-    *out = pop();
-    return true;
-  }
-
   /// Time of the earliest event iff it is strictly before `t`; nullopt when
   /// the queue is empty or the next event is at or after `t`. Lets a
   /// rolling-horizon loop ask "does anything happen before this horizon?"

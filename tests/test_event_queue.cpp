@@ -78,34 +78,6 @@ TEST(EventQueue, ManyEventsSortedCorrectly) {
   }
 }
 
-TEST(EventQueue, PopIfDrainsOnlyMatchingHeadEvents) {
-  // pop_if pops while the *head* matches — the online runtime uses it to
-  // drain the t=0 arrival batch without disturbing later events.
-  EventQueue<int> q;
-  q.push(0.0, 1);
-  q.push(0.0, 2);
-  q.push(0.0, -7);  // matches the time but not the predicate: drain stops
-  q.push(0.0, 3);
-  q.push(1.0, 4);
-  EventQueue<int>::Event ev;
-  int drained = 0;
-  while (q.pop_if(
-      [](const auto& e) { return e.time == 0.0 && e.payload > 0; }, &ev)) {
-    ++drained;
-    EXPECT_GT(ev.payload, 0);
-  }
-  EXPECT_EQ(drained, 2);  // stops at -7 even though 3 matches behind it
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop().payload, -7);
-  EXPECT_EQ(q.pop().payload, 3);
-}
-
-TEST(EventQueue, PopIfOnEmptyQueueIsFalse) {
-  EventQueue<int> q;
-  EventQueue<int>::Event ev;
-  EXPECT_FALSE(q.pop_if([](const auto&) { return true; }, &ev));
-}
-
 TEST(EventQueue, TimeIfBeforeProbesWithoutPopping) {
   EventQueue<int> q;
   EXPECT_FALSE(q.time_if_before(10.0).has_value());
