@@ -1,8 +1,10 @@
 #include "obs/counters.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "util/table.hpp"
@@ -119,43 +121,48 @@ SchedulerCounters counters_from_events(std::span<const Event> events,
   return c;
 }
 
-void CounterRegistry::set(const std::string& name, double value) {
-  for (auto& [key, val] : entries_) {
-    if (key == name) {
-      val = value;
-      return;
-    }
-  }
-  entries_.emplace_back(name, value);
+void add_to_registry(const SchedulerCounters& c, MetricsRegistry* registry) {
+  assert(registry != nullptr);
+  const auto set = [registry](std::string_view name, auto value) {
+    registry->gauge(name) = static_cast<double>(value);
+  };
+  set("tasks_ready", c.tasks_ready);
+  set("tasks_completed", c.tasks_completed);
+  set("spoliation_attempts", c.spoliation_attempts);
+  set("spoliation_commits", c.spoliation_commits);
+  set("spoliation_skips", c.spoliation_skips);
+  set("aborts", c.aborts);
+  set("bound_violations", c.bound_violations);
+  set("worker_crashes", c.worker_crashes);
+  set("straggler_windows", c.straggler_windows);
+  set("task_failures", c.task_failures);
+  set("task_retries", c.task_retries);
+  set("degraded_runs", c.degraded_runs);
+  set("tasks_arrived", c.tasks_arrived);
+  set("tasks_shed", c.tasks_shed);
+  set("tasks_deferred", c.tasks_deferred);
+  set("deadline_misses", c.deadline_misses);
+  set("replans", c.replans);
+  set("reschedule_ticks", c.reschedule_ticks);
+  set("mode_changes", c.mode_changes);
+  set("straggler_respawns", c.straggler_respawns);
+  set("peak_ready_depth", c.peak_ready_depth);
+  set("idle_intervals", c.idle_intervals);
+  set("cpu_busy_time", c.busy_time[0]);
+  set("gpu_busy_time", c.busy_time[1]);
+  set("cpu_aborted_time", c.aborted_time[0]);
+  set("gpu_aborted_time", c.aborted_time[1]);
+  set("cpu_idle_fraction", c.idle_fraction[0]);
+  set("gpu_idle_fraction", c.idle_fraction[1]);
+  set("makespan", c.makespan);
 }
 
-void CounterRegistry::incr(const std::string& name, double delta) {
-  for (auto& [key, val] : entries_) {
-    if (key == name) {
-      val += delta;
-      return;
-    }
-  }
-  entries_.emplace_back(name, delta);
-}
-
-double CounterRegistry::get(const std::string& name) const noexcept {
-  for (const auto& [key, val] : entries_) {
-    if (key == name) return val;
-  }
-  return 0.0;
-}
-
-bool CounterRegistry::contains(const std::string& name) const noexcept {
-  for (const auto& [key, val] : entries_) {
-    if (key == name) return true;
-  }
-  return false;
-}
-
-std::string CounterRegistry::to_string() const {
+std::string counter_table(const MetricsRegistry& registry, std::size_t first) {
+  const auto& gauges = registry.gauges();
+  assert(first <= gauges.size());
   util::Table table({"counter", "value"}, 6);
-  for (const auto& [name, value] : entries_) {
+  for (std::size_t i = first; i < gauges.size(); ++i) {
+    const auto& [name, value] = gauges[i];
     auto& row = table.row().cell(name);
     if (value == std::floor(value) && std::abs(value) < 1e15) {
       row.cell(static_cast<long long>(value));
@@ -166,40 +173,6 @@ std::string CounterRegistry::to_string() const {
   std::ostringstream oss;
   table.print(oss);
   return oss.str();
-}
-
-CounterRegistry registry_from(const SchedulerCounters& c) {
-  CounterRegistry reg;
-  reg.set("tasks_ready", static_cast<double>(c.tasks_ready));
-  reg.set("tasks_completed", static_cast<double>(c.tasks_completed));
-  reg.set("spoliation_attempts", static_cast<double>(c.spoliation_attempts));
-  reg.set("spoliation_commits", static_cast<double>(c.spoliation_commits));
-  reg.set("spoliation_skips", static_cast<double>(c.spoliation_skips));
-  reg.set("aborts", static_cast<double>(c.aborts));
-  reg.set("bound_violations", static_cast<double>(c.bound_violations));
-  reg.set("worker_crashes", static_cast<double>(c.worker_crashes));
-  reg.set("straggler_windows", static_cast<double>(c.straggler_windows));
-  reg.set("task_failures", static_cast<double>(c.task_failures));
-  reg.set("task_retries", static_cast<double>(c.task_retries));
-  reg.set("degraded_runs", static_cast<double>(c.degraded_runs));
-  reg.set("tasks_arrived", static_cast<double>(c.tasks_arrived));
-  reg.set("tasks_shed", static_cast<double>(c.tasks_shed));
-  reg.set("tasks_deferred", static_cast<double>(c.tasks_deferred));
-  reg.set("deadline_misses", static_cast<double>(c.deadline_misses));
-  reg.set("replans", static_cast<double>(c.replans));
-  reg.set("reschedule_ticks", static_cast<double>(c.reschedule_ticks));
-  reg.set("mode_changes", static_cast<double>(c.mode_changes));
-  reg.set("straggler_respawns", static_cast<double>(c.straggler_respawns));
-  reg.set("peak_ready_depth", static_cast<double>(c.peak_ready_depth));
-  reg.set("idle_intervals", static_cast<double>(c.idle_intervals));
-  reg.set("cpu_busy_time", c.busy_time[0]);
-  reg.set("gpu_busy_time", c.busy_time[1]);
-  reg.set("cpu_aborted_time", c.aborted_time[0]);
-  reg.set("gpu_aborted_time", c.aborted_time[1]);
-  reg.set("cpu_idle_fraction", c.idle_fraction[0]);
-  reg.set("gpu_idle_fraction", c.idle_fraction[1]);
-  reg.set("makespan", c.makespan);
-  return reg;
 }
 
 }  // namespace hp::obs

@@ -1,17 +1,18 @@
 #pragma once
-// Counter/gauge registry derived from an event stream.
+// Scheduler counters derived from an event stream.
 //
 // SchedulerCounters is the fixed set of counters the evaluation cares about
-// (§6.2 reasons about idle time, spoliation behaviour and queue pressure);
-// CounterRegistry is the generic named view used by the CLI report and the
-// bench JSON, so new counters can be surfaced without touching consumers.
+// (§6.2 reasons about idle time, spoliation behaviour and queue pressure).
+// add_to_registry() writes them as gauges into a MetricsRegistry, the one
+// named sink that the CLI report table, the Prometheus exposition and the
+// Chrome trace rollup all read.
 
+#include <cstddef>
 #include <span>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/event.hpp"
+#include "obs/metrics.hpp"
 
 namespace hp::obs {
 
@@ -55,33 +56,16 @@ struct SchedulerCounters {
 [[nodiscard]] SchedulerCounters counters_from_events(
     std::span<const Event> events, const Platform& platform);
 
-/// Ordered name -> value registry (insertion order preserved, so reports
-/// are stable). Values are doubles; integral counters print without
+/// Write every counter into `registry` as a gauge, in a fixed order (names
+/// are the glossary of docs/observability.md: "spoliation_attempts",
+/// "cpu_idle_fraction", ...).
+void add_to_registry(const SchedulerCounters& counters,
+                     MetricsRegistry* registry);
+
+/// Two-column text table ("counter  value") of `registry`'s gauges from
+/// the `first`-th on, for terminal reports. Integral values print without
 /// decimals.
-class CounterRegistry {
- public:
-  /// Set `name` to `value`, creating it if needed.
-  void set(const std::string& name, double value);
-  /// Add `delta` to `name` (creates at 0 first).
-  void incr(const std::string& name, double delta = 1.0);
-  /// Value of `name`, or 0 if absent.
-  [[nodiscard]] double get(const std::string& name) const noexcept;
-  [[nodiscard]] bool contains(const std::string& name) const noexcept;
-
-  [[nodiscard]] const std::vector<std::pair<std::string, double>>& entries()
-      const noexcept {
-    return entries_;
-  }
-
-  /// Two-column text table ("counter  value") for terminal reports.
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  std::vector<std::pair<std::string, double>> entries_;
-};
-
-/// Registry view of the fixed counters (names are the glossary of
-/// docs/observability.md: "spoliation_attempts", "cpu_idle_fraction", ...).
-[[nodiscard]] CounterRegistry registry_from(const SchedulerCounters& counters);
+[[nodiscard]] std::string counter_table(const MetricsRegistry& registry,
+                                        std::size_t first = 0);
 
 }  // namespace hp::obs

@@ -72,12 +72,4 @@ void derive_metrics(std::span<const Event> events, const Platform& platform,
   }
 }
 
-void import_counter_registry(const CounterRegistry& counters,
-                             MetricsRegistry* registry) {
-  assert(registry != nullptr);
-  for (const auto& [name, value] : counters.entries()) {
-    registry->gauge(name) = value;
-  }
-}
-
 }  // namespace hp::obs

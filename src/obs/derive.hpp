@@ -11,7 +11,6 @@
 #include <span>
 
 #include "model/platform.hpp"
-#include "obs/counters.hpp"
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
 
@@ -33,11 +32,5 @@ namespace hp::obs {
 /// All values are in simulated time units.
 void derive_metrics(std::span<const Event> events, const Platform& platform,
                     MetricsRegistry* registry);
-
-/// Import every entry of a CounterRegistry (scheduler counters, cp_*
-/// critical-path attribution, watchdog numbers) as gauges, so one exporter
-/// call sees scalar counters and distributions together.
-void import_counter_registry(const CounterRegistry& counters,
-                             MetricsRegistry* registry);
 
 }  // namespace hp::obs

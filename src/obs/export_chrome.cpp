@@ -5,7 +5,6 @@
 #include <sstream>
 #include <vector>
 
-#include "obs/counters.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "util/table.hpp"
@@ -13,6 +12,9 @@
 namespace hp::obs {
 
 namespace {
+
+/// Multiplier from simulated seconds to emitted "ts" units.
+constexpr double kTimeScale = 1000.0;
 
 /// Slice/marker label for a task-carrying event.
 std::string task_label(TaskId task, std::span<const Task> tasks) {
@@ -27,7 +29,7 @@ std::string task_label(TaskId task, std::span<const Task> tasks) {
 std::string chrome_trace_from_events(std::span<const Event> events,
                                      const Platform& platform,
                                      std::span<const Task> tasks,
-                                     const ChromeTraceOptions& options) {
+                                     const MetricsRegistry* rollup) {
   std::ostringstream oss;
   oss << "{\"traceEvents\":[";
   bool first = true;
@@ -35,7 +37,7 @@ std::string chrome_trace_from_events(std::span<const Event> events,
     if (!first) oss << ',';
     first = false;
   };
-  auto ts = [&](double t) { return util::format_double(t * options.time_scale, 3); };
+  auto ts = [&](double t) { return util::format_double(t * kTimeScale, 3); };
 
   // Open execution per worker, for pairing starts with completes/aborts.
   struct OpenSlice {
@@ -47,7 +49,6 @@ std::string chrome_trace_from_events(std::span<const Event> events,
   // Running-set size per resource, sampled on every change.
   int running[2] = {0, 0};
   auto emit_running = [&](double time, Resource r) {
-    if (!options.counter_tracks) return;
     sep();
     oss << "{\"name\":\"running_"
         << (r == Resource::kCpu ? "cpu" : "gpu")
@@ -102,19 +103,17 @@ std::string chrome_trace_from_events(std::span<const Event> events,
         emit_instant(e, "spoliate-commit");
         break;
       case EventKind::kSpoliateAttempt:
-        if (options.attempt_markers) emit_instant(e, "spoliate-attempt");
+        emit_instant(e, "spoliate-attempt");
         break;
       case EventKind::kSpoliateSkip:
-        if (options.attempt_markers) emit_instant(e, "spoliate-skip");
+        emit_instant(e, "spoliate-skip");
         break;
       case EventKind::kQueueDepth:
-        if (options.counter_tracks) {
-          sep();
-          oss << "{\"name\":\"ready_queue_depth\",\"cat\":\"counters\","
-              << "\"ph\":\"C\",\"pid\":0,\"ts\":" << ts(e.time)
-              << ",\"args\":{\"depth\":"
-              << util::format_double(e.value, 0) << "}}";
-        }
+        sep();
+        oss << "{\"name\":\"ready_queue_depth\",\"cat\":\"counters\","
+            << "\"ph\":\"C\",\"pid\":0,\"ts\":" << ts(e.time)
+            << ",\"args\":{\"depth\":" << util::format_double(e.value, 0)
+            << "}}";
         break;
       case EventKind::kBoundViolation:
         sep();
@@ -205,9 +204,9 @@ std::string chrome_trace_from_events(std::span<const Event> events,
         << ' ' << w << "\"}}";
   }
 
-  // One metadata record rolling up the run's registries, so the trace
+  // One metadata record rolling up the run's registry, so the trace
   // carries the same numbers the Prometheus exposition serves.
-  if (options.counters != nullptr || options.metrics != nullptr) {
+  if (rollup != nullptr) {
     sep();
     oss << "{\"name\":\"hp_metrics_rollup\",\"ph\":\"M\",\"pid\":0,"
         << "\"args\":{";
@@ -216,22 +215,21 @@ std::string chrome_trace_from_events(std::span<const Event> events,
       if (!first_arg) oss << ',';
       first_arg = false;
     };
-    if (options.counters != nullptr) {
-      for (const auto& [name, value] : options.counters->entries()) {
+    for (const auto* family : {&rollup->counters(), &rollup->gauges()}) {
+      for (const auto& entry : *family) {
         arg_sep();
-        oss << '"' << name << "\":" << util::format_double(value, 6);
+        oss << '"' << entry.name
+            << "\":" << util::format_double(entry.value, 6);
       }
     }
-    if (options.metrics != nullptr) {
-      for (const auto& entry : options.metrics->histograms()) {
-        const Histogram& h = entry.histogram;
-        arg_sep();
-        oss << '"' << entry.name << "\":{\"count\":" << h.count()
-            << ",\"p50\":" << util::format_double(h.quantile(0.5), 6)
-            << ",\"p90\":" << util::format_double(h.quantile(0.9), 6)
-            << ",\"p99\":" << util::format_double(h.quantile(0.99), 6)
-            << ",\"max\":" << util::format_double(h.max(), 6) << '}';
-      }
+    for (const auto& entry : rollup->histograms()) {
+      const Histogram& h = entry.histogram;
+      arg_sep();
+      oss << '"' << entry.name << "\":{\"count\":" << h.count()
+          << ",\"p50\":" << util::format_double(h.quantile(0.5), 6)
+          << ",\"p90\":" << util::format_double(h.quantile(0.9), 6)
+          << ",\"p99\":" << util::format_double(h.quantile(0.99), 6)
+          << ",\"max\":" << util::format_double(h.max(), 6) << '}';
     }
     oss << "}}";
   }

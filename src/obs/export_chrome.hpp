@@ -5,7 +5,8 @@
 // track per worker carrying the executed slices (aborted spoliation
 // segments as separate "aborted"-category slices), instant markers for
 // spoliation attempts/skips/commits and bound violations, and counter
-// tracks for the ready-queue depth. Simulated seconds are written as
+// tracks for the ready-queue depth and the running-set size per resource
+// (running_cpu / running_gpu). Simulated seconds are written as
 // microseconds-scale "ts" values (x1000) so short schedules stay readable.
 //
 // validate_chrome_trace() parses an emitted document back (obs/json.hpp)
@@ -22,34 +23,20 @@
 
 namespace hp::obs {
 
-class CounterRegistry;
 class MetricsRegistry;
-
-struct ChromeTraceOptions {
-  /// Multiplier from simulated seconds to emitted "ts" units.
-  double time_scale = 1000.0;
-  /// Emit kQueueDepth samples as a counter track, plus running_cpu /
-  /// running_gpu tracks (running-set size per resource, derived from the
-  /// start/complete/abort pairs).
-  bool counter_tracks = true;
-  /// Emit instant markers for spoliation attempts/skips (commits are always
-  /// emitted; attempts can be numerous on adversarial instances).
-  bool attempt_markers = true;
-  /// Optional rollup embedded as one "hp_metrics_rollup" metadata record:
-  /// every CounterRegistry entry (scheduler counters, cp_* critical-path
-  /// attribution) verbatim, and count/p50/p90/p99/max per MetricsRegistry
-  /// histogram — the same numbers the Prometheus exposition reports, so
-  /// the trace and the scrape cannot drift apart. Borrowed, may be null.
-  const CounterRegistry* counters = nullptr;
-  const MetricsRegistry* metrics = nullptr;
-};
 
 /// Render `events` (one run, time-ordered) as a Chrome trace-event JSON
 /// document. `tasks` provides slice names (kernel kinds); pass an empty
-/// span to fall back to "task <id>" labels.
+/// span to fall back to "task <id>" labels. A non-null `rollup` adds one
+/// "hp_metrics_rollup" metadata record: every counter and gauge verbatim
+/// (scheduler counters, cp_* critical-path attribution) and
+/// count/p50/p90/p99/max per histogram, the same numbers the Prometheus
+/// exposition reports, so the trace and the scrape cannot drift apart.
+/// Static plans feed this exporter through obs::replay_schedule().
 [[nodiscard]] std::string chrome_trace_from_events(
     std::span<const Event> events, const Platform& platform,
-    std::span<const Task> tasks = {}, const ChromeTraceOptions& options = {});
+    std::span<const Task> tasks = {},
+    const MetricsRegistry* rollup = nullptr);
 
 /// Schema check of an emitted document. Verifies: valid JSON; a
 /// "traceEvents" array; every entry has name/ph/pid/tid-as-needed/ts; "X"

@@ -17,12 +17,16 @@ bool name_char(char c) noexcept {
   return name_start_char(c) || std::isdigit(static_cast<unsigned char>(c));
 }
 
-std::string sanitize(const std::string& prefix, const std::string& name) {
-  std::string out = prefix + name;
-  if (out.empty()) return "_";
-  if (!name_start_char(out[0])) out[0] = '_';
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    if (!name_char(out[i])) out[i] = '_';
+/// Prepended to every family name (namespacing per convention).
+constexpr const char* kPrefix = "hp_";
+
+/// Quantiles emitted per histogram alongside the bucket series.
+constexpr double kQuantiles[] = {0.5, 0.9, 0.99};
+
+std::string sanitize(const std::string& name) {
+  std::string out = kPrefix + name;  // the prefix makes the first char legal
+  for (char& c : out) {
+    if (!name_char(c)) c = '_';
   }
   return out;
 }
@@ -41,8 +45,7 @@ void append_family(std::ostringstream& out, const std::string& name,
 }
 
 void append_histogram(std::ostringstream& out, const std::string& name,
-                      const Histogram& hist,
-                      const std::vector<double>& quantiles) {
+                      const Histogram& hist) {
   append_family(out, name, "histogram",
                 "log-linear histogram (see docs/observability.md)");
   std::uint64_t cumulative = 0;
@@ -58,7 +61,7 @@ void append_histogram(std::ostringstream& out, const std::string& name,
 
   append_family(out, name + "_quantile", "gauge",
                 "bucket-upper-bound quantile estimates");
-  for (const double q : quantiles) {
+  for (const double q : kQuantiles) {
     out << name << "_quantile{quantile=\"" << number(q) << "\"} "
         << number(hist.quantile(q)) << '\n';
   }
@@ -68,22 +71,20 @@ void append_histogram(std::ostringstream& out, const std::string& name,
 
 }  // namespace
 
-std::string prometheus_text(const MetricsRegistry& registry,
-                            const PrometheusOptions& options) {
+std::string prometheus_text(const MetricsRegistry& registry) {
   std::ostringstream out;
   for (const auto& entry : registry.counters()) {
-    const std::string name = sanitize(options.prefix, entry.name);
+    const std::string name = sanitize(entry.name);
     append_family(out, name, "counter", "scheduler counter");
     out << name << ' ' << number(entry.value) << '\n';
   }
   for (const auto& entry : registry.gauges()) {
-    const std::string name = sanitize(options.prefix, entry.name);
+    const std::string name = sanitize(entry.name);
     append_family(out, name, "gauge", "scheduler gauge");
     out << name << ' ' << number(entry.value) << '\n';
   }
   for (const auto& entry : registry.histograms()) {
-    append_histogram(out, sanitize(options.prefix, entry.name),
-                     entry.histogram, options.quantiles);
+    append_histogram(out, sanitize(entry.name), entry.histogram);
   }
   return out.str();
 }

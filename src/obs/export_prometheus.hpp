@@ -16,23 +16,15 @@
 // what this repo emits.
 
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
 namespace hp::obs {
 
-struct PrometheusOptions {
-  /// Prepended to every family name (namespacing per convention).
-  std::string prefix = "hp_";
-  /// Quantiles emitted per histogram alongside the bucket series.
-  std::vector<double> quantiles = {0.5, 0.9, 0.99};
-};
-
-/// Render `registry` as Prometheus text exposition format. Metric names
-/// are sanitized ([a-zA-Z0-9_:], anything else becomes '_').
-[[nodiscard]] std::string prometheus_text(const MetricsRegistry& registry,
-                                          const PrometheusOptions& options = {});
+/// Render `registry` as Prometheus text exposition format. Every family
+/// name gets the "hp_" prefix and is sanitized ([a-zA-Z0-9_:], anything
+/// else becomes '_').
+[[nodiscard]] std::string prometheus_text(const MetricsRegistry& registry);
 
 /// Validate the line format of an exposition document. On failure returns
 /// false and describes the first offending line in `*error`.

@@ -1,6 +1,7 @@
 #include "sched/critical_path.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <sstream>
 
@@ -231,16 +232,18 @@ std::string describe(const CriticalPathReport& report,
 }
 
 void add_to_registry(const CriticalPathReport& report,
-                     obs::CounterRegistry& registry) {
-  registry.set("cp_segments", static_cast<double>(report.segments.size()));
-  registry.set("cp_compute_time", report.compute_time);
-  registry.set("cp_idle_time", report.idle_time);
-  registry.set("cp_compute_fraction", report.compute_fraction());
-  registry.set("cp_dependency_links",
-               static_cast<double>(report.dependency_links));
-  registry.set("cp_worker_links", static_cast<double>(report.worker_links));
-  registry.set("cp_aborted_segments",
-               static_cast<double>(report.aborted_segments));
+                     obs::MetricsRegistry* registry) {
+  assert(registry != nullptr);
+  registry->gauge("cp_segments") = static_cast<double>(report.segments.size());
+  registry->gauge("cp_compute_time") = report.compute_time;
+  registry->gauge("cp_idle_time") = report.idle_time;
+  registry->gauge("cp_compute_fraction") = report.compute_fraction();
+  registry->gauge("cp_dependency_links") =
+      static_cast<double>(report.dependency_links);
+  registry->gauge("cp_worker_links") =
+      static_cast<double>(report.worker_links);
+  registry->gauge("cp_aborted_segments") =
+      static_cast<double>(report.aborted_segments);
 }
 
 }  // namespace hp

@@ -22,7 +22,7 @@
 #include "dag/task_graph.hpp"
 #include "model/platform.hpp"
 #include "model/task.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "sched/schedule.hpp"
 
 namespace hp {
@@ -86,9 +86,9 @@ struct CriticalPathReport {
                                    const Platform& platform,
                                    std::size_t max_segments = 12);
 
-/// Surface the report's aggregates as "cp_*" counters in `registry`, next
-/// to the scheduler counters the obs stream already carries.
+/// Write the report's aggregates as "cp_*" gauges into `registry`, next to
+/// the scheduler counters (obs::add_to_registry).
 void add_to_registry(const CriticalPathReport& report,
-                     obs::CounterRegistry& registry);
+                     obs::MetricsRegistry* registry);
 
 }  // namespace hp

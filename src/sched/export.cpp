@@ -37,42 +37,6 @@ const char* kind_fill(KernelKind kind) {
 
 }  // namespace
 
-std::string to_chrome_trace(const Schedule& schedule,
-                            std::span<const Task> tasks,
-                            const Platform& platform) {
-  std::ostringstream oss;
-  oss << "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const char* name, WorkerId worker, double start,
-                  double duration, bool aborted) {
-    if (!first) oss << ',';
-    first = false;
-    oss << "{\"name\":\"" << name << (aborted ? " (aborted)" : "")
-        << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << worker
-        << ",\"ts\":" << util::format_double(start * 1000.0, 3)
-        << ",\"dur\":" << util::format_double(duration * 1000.0, 3)
-        << ",\"cat\":\"" << (aborted ? "aborted" : "task") << "\"}";
-  };
-
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const Placement& p = schedule.placement(static_cast<TaskId>(i));
-    if (!p.placed()) continue;
-    emit(kernel_name(tasks[i].kind), p.worker, p.start, p.end - p.start, false);
-  }
-  for (const AbortedSegment& a : schedule.aborted()) {
-    emit(kernel_name(tasks[static_cast<std::size_t>(a.task)].kind), a.worker,
-         a.start, a.abort_time - a.start, true);
-  }
-  // Lane metadata: name each worker thread.
-  for (WorkerId w = 0; w < platform.workers(); ++w) {
-    oss << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << w
-        << ",\"args\":{\"name\":\"" << resource_name(platform.type_of(w)) << ' '
-        << w << "\"}}";
-  }
-  oss << "]}";
-  return oss.str();
-}
-
 std::string to_svg_gantt(const Schedule& schedule, std::span<const Task> tasks,
                          const Platform& platform, const SvgOptions& options) {
   const double makespan = schedule.makespan();

@@ -1,7 +1,8 @@
 #pragma once
-// Schedule exporters: Chrome trace-event JSON (load in chrome://tracing or
-// Perfetto) and standalone SVG Gantt charts. Practical inspection tooling
-// for schedules beyond the terminal ASCII Gantt.
+// Standalone SVG Gantt charts: inspection tooling for schedules beyond the
+// terminal ASCII Gantt. Chrome trace-event JSON comes from the event-stream
+// exporter, obs::chrome_trace_from_events(); a finished Schedule feeds it
+// through obs::replay_schedule().
 
 #include <span>
 #include <string>
@@ -10,14 +11,6 @@
 #include "sched/schedule.hpp"
 
 namespace hp {
-
-/// Chrome trace-event JSON ("X" complete events, one lane per worker;
-/// aborted spoliation segments appear as "(aborted)" slices). Times are
-/// interpreted as microseconds by the viewer. `tasks` provides names/kinds
-/// and must parallel the schedule.
-[[nodiscard]] std::string to_chrome_trace(const Schedule& schedule,
-                                          std::span<const Task> tasks,
-                                          const Platform& platform);
 
 struct SvgOptions {
   int width = 1200;        ///< drawing width in px (plus a label gutter)

@@ -11,7 +11,7 @@
 #include "core/heteroprio_dag.hpp"
 #include "dag/ranking.hpp"
 #include "linalg/cholesky.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "sched/critical_path.hpp"
 
 namespace hp {
@@ -114,14 +114,15 @@ TEST(CriticalPath, RegistryExportCarriesTheAggregates) {
   const CriticalPathReport report =
       build_critical_path(schedule, g.tasks(), platform, &g);
 
-  obs::CounterRegistry registry;
-  add_to_registry(report, registry);
-  EXPECT_TRUE(registry.contains("cp_segments"));
-  EXPECT_EQ(registry.get("cp_segments"),
-            static_cast<double>(report.segments.size()));
-  EXPECT_TRUE(registry.contains("cp_compute_fraction"));
-  EXPECT_GE(registry.get("cp_compute_fraction"), 0.0);
-  EXPECT_LE(registry.get("cp_compute_fraction"), 1.0);
+  obs::MetricsRegistry registry;
+  add_to_registry(report, &registry);
+  const double* segments = registry.find_gauge("cp_segments");
+  ASSERT_NE(segments, nullptr);
+  EXPECT_EQ(*segments, static_cast<double>(report.segments.size()));
+  const double* fraction = registry.find_gauge("cp_compute_fraction");
+  ASSERT_NE(fraction, nullptr);
+  EXPECT_GE(*fraction, 0.0);
+  EXPECT_LE(*fraction, 1.0);
 }
 
 TEST(CriticalPath, EmptyScheduleIsEmptyReport) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "obs/export_chrome.hpp"
+#include "obs/replay.hpp"
 
 namespace hp {
 namespace {
@@ -13,27 +17,38 @@ struct Fixture {
                           Task{2.0, 3.0, 0.0, KernelKind::kPotrf}};
   Schedule schedule{2};
 
+  // One spoliation: the GPU takes DGEMM from the CPU at t=0.5, and the CPU
+  // then runs DPOTRF. Each worker runs one task at a time, so the replayed
+  // event stream pairs every start with its abort or completion.
   Fixture() {
-    schedule.place(0, 1, 0.0, 1.0);
-    schedule.place(1, 0, 0.0, 2.0);
     schedule.add_aborted(0, 0, 0.0, 0.5);
+    schedule.place(0, 1, 0.5, 1.5);
+    schedule.place(1, 0, 0.5, 2.5);
   }
 };
 
+/// A static plan's Chrome trace: the schedule replayed as an event stream.
+std::string chrome_trace(const Fixture& f) {
+  return obs::chrome_trace_from_events(
+      obs::replay_schedule(f.schedule, f.platform), f.platform, f.tasks);
+}
+
 TEST(ChromeTrace, ContainsEventsAndLaneNames) {
   const Fixture f;
-  const std::string json = to_chrome_trace(f.schedule, f.tasks, f.platform);
+  const std::string json = chrome_trace(f);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("DGEMM"), std::string::npos);
   EXPECT_NE(json.find("DPOTRF"), std::string::npos);
   EXPECT_NE(json.find("(aborted)"), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  std::string error;
+  EXPECT_TRUE(obs::validate_chrome_trace(json, f.platform, &error)) << error;
 }
 
 TEST(ChromeTrace, BalancedBracesAndQuotes) {
   const Fixture f;
-  const std::string json = to_chrome_trace(f.schedule, f.tasks, f.platform);
+  const std::string json = chrome_trace(f);
   int depth = 0;
   int quotes = 0;
   for (char ch : json) {
@@ -48,7 +63,7 @@ TEST(ChromeTrace, BalancedBracesAndQuotes) {
 
 TEST(ChromeTrace, DurationsInMicroseconds) {
   const Fixture f;
-  const std::string json = to_chrome_trace(f.schedule, f.tasks, f.platform);
+  const std::string json = chrome_trace(f);
   // task 1 runs 2.0 time units -> "dur":2000
   EXPECT_NE(json.find("\"dur\":2000"), std::string::npos);
 }
@@ -60,7 +75,7 @@ TEST(SvgGantt, WellFormedAndLabeled) {
   EXPECT_NE(svg.find("</svg>"), std::string::npos);
   EXPECT_NE(svg.find("CPU0"), std::string::npos);
   EXPECT_NE(svg.find("GPU1"), std::string::npos);
-  EXPECT_NE(svg.find("makespan = 2"), std::string::npos);
+  EXPECT_NE(svg.find("makespan = 2.5"), std::string::npos);
   EXPECT_NE(svg.find("<title>DGEMM</title>"), std::string::npos);
 }
 

@@ -610,9 +610,14 @@ TEST(FaultRecovery, CountersPickUpTheFaultEventKinds) {
   EXPECT_EQ(counters.task_retries, stats.recovery.task_retries);
   EXPECT_EQ(counters.degraded_runs, stats.recovery.degraded ? 1 : 0);
 
-  const obs::CounterRegistry registry = obs::registry_from(counters);
-  EXPECT_TRUE(registry.contains("worker_crashes"));
-  EXPECT_TRUE(registry.contains("task_failures"));
+  obs::MetricsRegistry registry;
+  obs::add_to_registry(counters, &registry);
+  ASSERT_NE(registry.find_gauge("worker_crashes"), nullptr);
+  EXPECT_EQ(*registry.find_gauge("worker_crashes"),
+            static_cast<double>(counters.worker_crashes));
+  ASSERT_NE(registry.find_gauge("task_failures"), nullptr);
+  EXPECT_EQ(*registry.find_gauge("task_failures"),
+            static_cast<double>(counters.task_failures));
 }
 
 TEST(FaultRecovery, FaultyTraceExportsValidChromeJson) {

@@ -122,16 +122,13 @@ TEST(Chrome, EmitsRunningTracksAndMetricsRollup) {
   options.sink = &recorder;
   const Schedule schedule = heteroprio(inst.tasks(), platform, options);
 
-  obs::CounterRegistry counters = obs::registry_from(
-      obs::counters_from_events(recorder.events(), platform));
   obs::MetricsRegistry metrics;
+  obs::add_to_registry(obs::counters_from_events(recorder.events(), platform),
+                       &metrics);
   obs::derive_metrics(recorder.events(), platform, &metrics);
 
-  obs::ChromeTraceOptions trace_options;
-  trace_options.counters = &counters;
-  trace_options.metrics = &metrics;
   const std::string json = obs::chrome_trace_from_events(
-      recorder.events(), platform, inst.tasks(), trace_options);
+      recorder.events(), platform, inst.tasks(), &metrics);
 
   std::string error;
   EXPECT_TRUE(obs::validate_chrome_trace(json, platform, &error)) << error;
@@ -140,7 +137,8 @@ TEST(Chrome, EmitsRunningTracksAndMetricsRollup) {
   EXPECT_NE(json.find("\"hp_metrics_rollup\""), std::string::npos);
   EXPECT_NE(json.find("\"queue_wait\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
-  // Without registries the rollup is absent but the tracks remain.
+  EXPECT_NE(json.find("\"tasks_completed\":40"), std::string::npos);
+  // Without a registry the rollup is absent but the tracks remain.
   const std::string plain =
       obs::chrome_trace_from_events(recorder.events(), platform, inst.tasks());
   EXPECT_EQ(plain.find("hp_metrics_rollup"), std::string::npos);
@@ -192,7 +190,7 @@ TEST(Derive, EventStreamYieldsDistributionHistograms) {
   EXPECT_EQ(registry.find_histogram("busy_time_gpu")->count(), 1u);
 }
 
-TEST(Derive, CounterRegistryImportsAsGauges) {
+TEST(Derive, SchedulerCountersExportAsGauges) {
   const Instance inst = test_instance(30);
   const Platform platform(2, 1);
   obs::EventRecorder recorder;
@@ -200,13 +198,17 @@ TEST(Derive, CounterRegistryImportsAsGauges) {
   options.sink = &recorder;
   (void)heteroprio(inst.tasks(), platform, options);
 
-  const obs::CounterRegistry counters = obs::registry_from(
-      obs::counters_from_events(recorder.events(), platform));
   obs::MetricsRegistry registry;
-  obs::import_counter_registry(counters, &registry);
+  obs::add_to_registry(obs::counters_from_events(recorder.events(), platform),
+                       &registry);
   EXPECT_FALSE(registry.empty());
   ASSERT_NE(registry.find_gauge("tasks_completed"), nullptr);
   EXPECT_DOUBLE_EQ(*registry.find_gauge("tasks_completed"), 30.0);
+  // Gauges only, in the glossary order the report table prints.
+  EXPECT_TRUE(registry.counters().empty());
+  EXPECT_TRUE(registry.histograms().empty());
+  EXPECT_EQ(registry.gauges().front().name, "tasks_ready");
+  EXPECT_EQ(registry.gauges().back().name, "makespan");
 }
 
 /// Placements must match exactly — attaching a collector may not change

@@ -428,8 +428,6 @@ int cmd_schedule(const Args& args) {
     std::cout << "wrote " << svg << '\n';
   }
   if (const std::string trace = args.get("trace"); !trace.empty()) {
-    // Event-based exporter: carries spoliation markers and counter tracks
-    // the placement-only to_chrome_trace cannot reconstruct.
     if (!io::save_text_file(trace,
                             obs::chrome_trace_from_events(
                                 run->events.events(), platform, tasks))) {
@@ -457,21 +455,17 @@ int cmd_trace(const Args& args) {
 
   if (!out.empty()) {
     // Embed the run's rollup (scheduler counters, cp_* attribution,
-    // histogram summaries) as trace metadata: the numbers come from the
-    // same registries the Prometheus exposition reports.
-    obs::CounterRegistry counters = obs::registry_from(
-        obs::counters_from_events(run->events.events(), platform));
-    const CriticalPathReport cp =
-        build_critical_path(run->schedule, run->tasks, platform,
-                            run->is_graph ? &run->graph : nullptr);
-    add_to_registry(cp, counters);
+    // histogram summaries) as trace metadata, filled the way `report`
+    // fills the registry behind its Prometheus exposition.
     obs::MetricsRegistry metrics;
+    obs::add_to_registry(
+        obs::counters_from_events(run->events.events(), platform), &metrics);
+    add_to_registry(build_critical_path(run->schedule, run->tasks, platform,
+                                        run->is_graph ? &run->graph : nullptr),
+                    &metrics);
     obs::derive_metrics(run->events.events(), platform, &metrics);
-    obs::ChromeTraceOptions trace_options;
-    trace_options.counters = &counters;
-    trace_options.metrics = &metrics;
     const std::string json = obs::chrome_trace_from_events(
-        run->events.events(), platform, run->tasks, trace_options);
+        run->events.events(), platform, run->tasks, &metrics);
     std::string error;
     if (!obs::validate_chrome_trace(json, platform, &error)) {
       std::cerr << "internal error: emitted trace is invalid: " << error
@@ -498,15 +492,15 @@ int cmd_trace(const Args& args) {
 
 /// Counter report plus bound-watchdog verdict of one run. With
 /// `--critical-path`, also attribute the makespan to the chain of task
-/// executions and waits that produced it (sched/critical_path.hpp) and fold
-/// the cp_* aggregates into the counter registry.
+/// executions and waits that produced it (sched/critical_path.hpp) and add
+/// the cp_* aggregates to the counter table.
 ///
 /// `--metrics-out FILE` writes a Prometheus text exposition of the run: the
 /// phase-timer stats of an attached MetricsCollector, the distribution
 /// metrics derived from the event stream (queue-wait, task durations, idle
 /// intervals, per-resource busy time) and every counter — scheduler
-/// counters and the cp_* critical-path attribution, imported from the same
-/// CounterRegistry the text report prints, so the two cannot drift apart.
+/// counters and the cp_* critical-path attribution, the same gauges the
+/// text report prints, so the two cannot drift apart.
 /// `--flame FILE` writes the collector's call paths as collapsed stacks
 /// (speedscope-compatible); `--tick-clock` swaps the wall clock for the
 /// deterministic tick clock so both outputs are byte-stable.
@@ -523,31 +517,33 @@ int cmd_report(const Args& args) {
                                  collect ? &collector : nullptr);
   if (!run.has_value()) return exit_code;
 
-  const obs::SchedulerCounters counters =
-      obs::counters_from_events(run->events.events(), platform);
-  obs::CounterRegistry registry = obs::registry_from(counters);
+  // One registry for the table and the exposition. The phase totals go in
+  // first so the exposition lists them ahead of the scheduler gauges; the
+  // table starts after them.
+  obs::MetricsRegistry metrics;
+  collector.export_to(&metrics);
+  const std::size_t phase_gauges = metrics.gauges().size();
+  obs::add_to_registry(
+      obs::counters_from_events(run->events.events(), platform), &metrics);
   std::optional<CriticalPathReport> cp;
   // The exposition always carries the cp_* attribution — a scrape should
   // not depend on the report flag; the flag only controls the prose.
   if (args.options.count("critical-path") != 0 || !metrics_out.empty()) {
     cp = build_critical_path(run->schedule, run->tasks, platform,
                              run->is_graph ? &run->graph : nullptr);
-    add_to_registry(*cp, registry);
+    add_to_registry(*cp, &metrics);
   }
   std::cout << "algorithm: " << args.get("algo", "hp")
             << "\ntasks: " << run->tasks.size()
             << "\nmakespan: " << run->schedule.makespan()
             << "\nlower bound: " << run->lower_bound << "\n\n"
-            << registry.to_string() << '\n';
+            << obs::counter_table(metrics, phase_gauges) << '\n';
   if (cp.has_value() && args.options.count("critical-path") != 0) {
     std::cout << describe(*cp, run->tasks, platform) << '\n';
   }
 
   if (!metrics_out.empty()) {
-    obs::MetricsRegistry metrics;
-    collector.export_to(&metrics);
     obs::derive_metrics(run->events.events(), platform, &metrics);
-    obs::import_counter_registry(registry, &metrics);
     const std::string text = obs::prometheus_text(metrics);
     std::string error;
     if (!obs::validate_prometheus_text(text, &error)) {
