@@ -269,11 +269,33 @@ Schedule run_online(std::span<const Task> tasks, const TaskGraph* graph,
     }
   };
 
+  // A DAG task behind a rejected or abandoned ancestor is never released.
+  // Once it has arrived it is settled: it ends the run unfinished.
+  std::span<char> blocked;
+  std::size_t blocked_arrived = 0;
+  std::vector<TaskId> block_stack;
+  auto block_descendants = [&](TaskId id) {
+    if (blocked.empty()) blocked = arena.alloc_zeroed<char>(n);
+    block_stack.assign(1, id);
+    while (!block_stack.empty()) {
+      const TaskId t = block_stack.back();
+      block_stack.pop_back();
+      for (TaskId succ : graph->successors(t)) {
+        const auto i = static_cast<std::size_t>(succ);
+        if (blocked[i] != 0) continue;
+        blocked[i] = 1;
+        if (state[i] == kAdmitted || state[i] == kDeferred) ++blocked_arrived;
+        block_stack.push_back(succ);
+      }
+    }
+  };
+
   auto abandoned_count = [&]() -> std::size_t {
     return static_cast<std::size_t>(local.recovery.tasks_abandoned);
   };
   auto accounted = [&]() -> std::size_t {
-    return completed + local.tasks_rejected + abandoned_count();
+    return completed + local.tasks_rejected + abandoned_count() +
+           blocked_arrived;
   };
 
   auto handle_arrival = [&](TaskId id) {
@@ -285,19 +307,24 @@ Schedule run_online(std::span<const Task> tasks, const TaskGraph* graph,
       events.push(now + rel, OnlineEvent{OnlineEvent::Kind::kDeadline, -1,
                                          id, 0, 0.0});
     }
-    if (admission_on && mode == Mode::kShedding) {
-      // Load shedding: counted, never silently dropped. Retries and crash
-      // re-enqueues of already-admitted tasks bypass this gate entirely.
-      if (options.shed_policy == ShedPolicy::kReject) {
-        state[static_cast<std::size_t>(id)] = kRejected;
-        ++local.tasks_rejected;
-        probe.task_shed(now, id);
-      } else {
-        state[static_cast<std::size_t>(id)] = kDeferred;
-        ++local.tasks_deferred;
-        deferred_fifo.push_back(id);
-        probe.task_deferred(now, id);
-      }
+    // Load shedding: counted, never silently dropped. Retries and crash
+    // re-enqueues of already-admitted tasks bypass this gate entirely.
+    const bool shed = admission_on && mode == Mode::kShedding;
+    if (shed && options.shed_policy == ShedPolicy::kReject) {
+      state[static_cast<std::size_t>(id)] = kRejected;
+      ++local.tasks_rejected;
+      probe.task_shed(now, id);
+      if (graph != nullptr) block_descendants(id);
+      return;
+    }
+    if (!blocked.empty() && blocked[static_cast<std::size_t>(id)] != 0) {
+      ++blocked_arrived;
+    }
+    if (shed) {
+      state[static_cast<std::size_t>(id)] = kDeferred;
+      ++local.tasks_deferred;
+      deferred_fifo.push_back(id);
+      probe.task_deferred(now, id);
       return;
     }
     admit(id);
@@ -450,6 +477,7 @@ Schedule run_online(std::span<const Task> tasks, const TaskGraph* graph,
       note_incident();
       if (failures >= plan->max_attempts()) {
         ++local.recovery.tasks_abandoned;
+        if (graph != nullptr) block_descendants(done.task);
         return;
       }
       ++local.recovery.task_retries;

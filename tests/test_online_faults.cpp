@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "core/heteroprio.hpp"
+#include "dag/ranking.hpp"
+#include "linalg/cholesky.hpp"
 #include "model/generators.hpp"
 #include "obs/recorder.hpp"
 #include "online/runtime.hpp"
@@ -236,6 +238,32 @@ TEST(OnlineFaults, CrashTargetingAnUnarrivedTasksWorkerDefersItsEffect) {
   EXPECT_DOUBLE_EQ(s.placements()[0].start, 10.0);
   EXPECT_EQ(stats.recovery.worker_crashes, 1);
   EXPECT_EQ(stats.recovery.tasks_unfinished, 0);
+}
+
+TEST(OnlineFaults, AbandonedDagRootEndsATickedRun) {
+  // Every attempt fails and none is retried, so the root of the DAG is
+  // abandoned and nothing behind it is ever released. Reschedule ticks
+  // used to re-arm each other forever while those tasks stayed
+  // unaccounted; the run must end with all of them unfinished.
+  TaskGraph g = cholesky_dag(4);
+  assign_priorities(g, RankScheme::kMin);
+  const Platform platform(2, 1);
+  fault::FaultPlan plan;
+  plan.set_task_faults(/*fail_prob=*/1.0, /*max_attempts=*/1,
+                       /*retry_backoff=*/0.0, /*seed=*/5);
+
+  online::OnlineOptions options;
+  options.faults = &plan;
+  options.reschedule_period = 0.5;
+  online::OnlineStats stats;
+  const Schedule s = online::online_run_dag(g, platform, options, &stats);
+
+  const auto check = check_schedule(s, g.tasks(), platform, kFaultyRun);
+  ASSERT_TRUE(check.ok) << check.message;
+  EXPECT_EQ(stats.recovery.tasks_abandoned, 1);
+  EXPECT_EQ(stats.recovery.tasks_unfinished,
+            static_cast<int>(g.size()));
+  EXPECT_TRUE(stats.recovery.degraded);
 }
 
 }  // namespace
