@@ -668,10 +668,9 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
     {  // Leg one: one tenant, one worker.
       serve::ServiceOptions so;
       so.workers = 1;
-      so.max_clients = 1;
       serve::Service service(so);
       serve::Service::Ticket ticket =
-          service.submit(serve_request(c, sched, 0), 0);
+          service.submit(serve_request(c, sched, 0));
       const serve::Response response = ticket.response.get();
       service.drain();
       check_response(response, "1-worker leg");
@@ -681,13 +680,12 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
     {  // Leg two: several tenants over serve_workers workers.
       serve::ServiceOptions so;
       so.workers = c.serve_workers;
-      so.max_clients = 1;
       serve::Service service(so);
       constexpr int kRepeats = 4;
       std::vector<std::future<serve::Response>> futures;
       for (int i = 0; i < kRepeats; ++i) {
         futures.push_back(
-            service.submit(serve_request(c, sched, i % 2), 0).response);
+            service.submit(serve_request(c, sched, i % 2)).response);
       }
       for (std::future<serve::Response>& f : futures) {
         check_response(f.get(), "W-worker leg");
@@ -702,7 +700,6 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
            static_cast<std::uint64_t>(sched)}));
       serve::ServiceOptions so;
       so.workers = c.serve_workers;
-      so.max_clients = 1;
       so.watermark_high = 1 + rng.bounded(3);
       so.shed_policy = rng.bernoulli(0.5) ? online::ShedPolicy::kDefer
                                           : online::ShedPolicy::kReject;
@@ -713,7 +710,7 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
         serve::Service service(so);
         for (int i = 0; i < kSubmissions; ++i) {
           serve::Service::Ticket ticket =
-              service.submit(serve_request(c, sched, i % 2), 0);
+              service.submit(serve_request(c, sched, i % 2));
           rejected_tickets +=
               ticket.admission == serve::Admission::kRejected ? 1 : 0;
           futures.push_back(std::move(ticket.response));

@@ -28,6 +28,12 @@ const char* mode_name(Mode mode) noexcept {
   return "?";
 }
 
+std::size_t effective_watermark_low(std::size_t high,
+                                    std::size_t low) noexcept {
+  if (high == 0) return 0;
+  return std::min(low > 0 ? low : high / 2, high - 1);
+}
+
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -223,11 +229,7 @@ Schedule run_online(std::span<const Task> tasks, const TaskGraph* graph,
   const bool admission_on = options.watermark_high > 0;
   const std::size_t wm_high = options.watermark_high;
   const std::size_t wm_low =
-      admission_on
-          ? std::min(options.watermark_low > 0 ? options.watermark_low
-                                               : wm_high / 2,
-                     wm_high - 1)
-          : 0;
+      effective_watermark_low(wm_high, options.watermark_low);
   std::vector<TaskId> deferred_fifo;
   std::size_t deferred_head = 0;
 

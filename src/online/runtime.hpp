@@ -87,6 +87,14 @@ struct OnlineOptions {
   int respawn_budget = 0;
 };
 
+/// The low watermark admission control runs with: `low` (0 means high / 2)
+/// clamped to at most high - 1, so the hysteresis band is never empty and a
+/// backlog at the high watermark cannot both keep and clear shedding. 0 when
+/// `high` is 0 (admission control off). Shared by the online runtime and
+/// serve::Service.
+[[nodiscard]] std::size_t effective_watermark_low(std::size_t high,
+                                                  std::size_t low) noexcept;
+
 /// Outcome accounting of one online run. The zero-silent-drop invariant,
 /// asserted by tests and the bench: tasks_arrived == n and
 /// completed + tasks_rejected + recovery.tasks_unfinished == n (abandoned

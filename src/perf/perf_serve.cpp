@@ -105,7 +105,6 @@ PerfServeBaseline run_perf_serve(const PerfServeOptions& options) {
   for (const int workers : options.worker_counts) {
     serve::ServiceOptions service;
     service.workers = std::max(1, workers);
-    service.max_clients = std::max(1, options.clients);
     PerfServeSeries s =
         measure_arm("workers-" + std::to_string(service.workers), options,
                     service, out.repetitions);
@@ -119,7 +118,6 @@ PerfServeBaseline run_perf_serve(const PerfServeOptions& options) {
   {
     serve::ServiceOptions service;
     service.workers = 2;
-    service.max_clients = std::max(1, options.clients);
     service.watermark_high = 2;
     service.shed_policy = online::ShedPolicy::kReject;
     PerfServeSeries s =

@@ -37,10 +37,7 @@ DriverReport run_driver(const RequestFactory& make_request,
     }
   }
 
-  ServiceOptions service_options = options.service;
-  service_options.max_clients =
-      std::max(service_options.max_clients, clients);
-  Service service(service_options);
+  Service service(options.service);
 
   std::vector<ClientOutcome> outcomes(static_cast<std::size_t>(clients));
   const auto started = Clock::now();
@@ -59,12 +56,10 @@ DriverReport run_driver(const RequestFactory& make_request,
           // Submit a copy when verifying (the original is re-run later);
           // move otherwise.
           Service::Ticket ticket =
-              options.verify ? service.submit(Request(original), c)
-                             : service.submit(
-                                   std::move(workloads[static_cast<
-                                       std::size_t>(c)][
-                                       static_cast<std::size_t>(i)]),
-                                   c);
+              options.verify ? service.submit(Request(original))
+                             : service.submit(std::move(
+                                   workloads[static_cast<std::size_t>(c)]
+                                            [static_cast<std::size_t>(i)]));
           outcome.ticket_ids.push_back(ticket.id);
           outcome.admissions.push_back(ticket.admission);
           futures.push_back(std::move(ticket.response));

@@ -33,7 +33,7 @@ using RequestFactory = std::function<Request(int client, int index)>;
 struct DriverOptions {
   int clients = 4;               ///< client threads (tenants, typically)
   int requests_per_client = 50;
-  ServiceOptions service;        ///< max_clients is raised to `clients`
+  ServiceOptions service;
   /// Re-run every completed request directly and require bitwise-identical
   /// schedules and recovery reports (costs one extra engine run each).
   bool verify = true;

@@ -10,15 +10,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr auto kIdleSleep = std::chrono::microseconds(50);
-constexpr int kIdleYields = 32;  ///< yields before backing off to a sleep
-
 }  // namespace
 
 /// One submitted request in service custody: the request itself, the
 /// promise its ticket resolves, and the enqueue timestamp the latency
 /// histogram is fed from. Owned by exactly one stage at a time (intake
-/// queue, parked deque, or the worker executing it), which is what makes
+/// queue, parked queue, or the worker executing it), which is what makes
 /// "no request lost or double-served" a structural property.
 struct PendingRequest {
   explicit PendingRequest(Request r) : request(std::move(r)) {}
@@ -38,19 +35,11 @@ const char* admission_name(Admission admission) noexcept {
   return "?";
 }
 
-Service::Service(const ServiceOptions& options)
-    : options_(options),
-      // Epoch participants: every client slot, every worker, plus one
-      // control slot drain() pushes re-admitted requests through.
-      queue_(static_cast<std::size_t>(std::max(1, options.max_clients)) +
-                 static_cast<std::size_t>(std::max(1, options.workers)) + 1,
-             options.segment_capacity, options.queue_capacity) {
+Service::Service(const ServiceOptions& options) : options_(options) {
   options_.workers = std::max(1, options_.workers);
-  options_.max_clients = std::max(1, options_.max_clients);
   options_.batch_size = std::max(1, options_.batch_size);
-  if (options_.watermark_high > 0 && options_.watermark_low == 0) {
-    options_.watermark_low = options_.watermark_high / 2;
-  }
+  options_.watermark_low = online::effective_watermark_low(
+      options_.watermark_high, options_.watermark_low);
   worker_metrics_.resize(static_cast<std::size_t>(options_.workers));
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w) {
@@ -60,8 +49,7 @@ Service::Service(const ServiceOptions& options)
 
 Service::~Service() { drain(); }
 
-Service::Ticket Service::submit(Request request, int client_slot) {
-  assert(client_slot >= 0 && client_slot < options_.max_clients);
+Service::Ticket Service::submit(Request request, int /*unused*/) {
   auto* pending = new PendingRequest(std::move(request));
   pending->submit_time = Clock::now();
 
@@ -78,7 +66,7 @@ Service::Ticket Service::submit(Request request, int client_slot) {
     if (draining_) {
       ticket.admission = Admission::kRejected;
     } else if (options_.watermark_high > 0) {
-      if (!shedding_ && backlog_ >= options_.watermark_high) {
+      if (!shedding_ && queue_.size() >= options_.watermark_high) {
         shedding_ = true;
         ++acct_.shed_mode_changes;
       }
@@ -105,32 +93,15 @@ Service::Ticket Service::submit(Request request, int client_slot) {
         ++acct_.accepted;
         ++acct_.in_flight;
         ++tenant.accepted;
-        ++backlog_;
+        queue_.push_back(pending);
         break;
     }
   }
 
-  if (ticket.admission == Admission::kRejected) {
-    reject_request(pending);
-    return ticket;
-  }
-  if (ticket.admission == Admission::kAccepted) {
-    if (!queue_.try_push(static_cast<std::size_t>(client_slot), pending)) {
-      // Hard custody cap hit: convert the acceptance into a counted
-      // rejection — still answered, still balanced.
-      {
-        const std::lock_guard<std::mutex> lock(state_mutex_);
-        --acct_.accepted;
-        --acct_.in_flight;
-        ++acct_.rejected;
-        TenantCounters& tenant = tenant_counts_[pending->request.tenant];
-        --tenant.accepted;
-        ++tenant.rejected;
-        --backlog_;
-      }
-      ticket.admission = Admission::kRejected;
-      reject_request(pending);
-    }
+  switch (ticket.admission) {
+    case Admission::kRejected: reject_request(pending); break;
+    case Admission::kAccepted: work_ready_.notify_one(); break;
+    case Admission::kDeferred: break;
   }
   return ticket;
 }
@@ -172,106 +143,82 @@ void Service::finish_request(PendingRequest* pending, int worker_index) {
   delete pending;
 }
 
-void Service::update_shedding_locked(std::size_t epoch_slot) {
+bool Service::update_shedding_locked() {
   if (options_.watermark_high > 0) {
-    if (!shedding_ && backlog_ >= options_.watermark_high) {
+    if (!shedding_ && queue_.size() >= options_.watermark_high) {
       shedding_ = true;
       ++acct_.shed_mode_changes;
     }
-    if (shedding_ && backlog_ <= options_.watermark_low) {
+    if (shedding_ && queue_.size() <= options_.watermark_low) {
       shedding_ = false;
       ++acct_.shed_mode_changes;
     }
   }
-  // Re-admit parked requests while below the high watermark (drain
-  // force-admits regardless — graceful shutdown completes what it holds).
-  while (!parked_.empty() &&
-         (draining_ || (!shedding_ && (options_.watermark_high == 0 ||
-                                       backlog_ < options_.watermark_high)))) {
-    PendingRequest* pending = parked_.front();
-    if (!queue_.try_push(epoch_slot, pending)) break;  // hard cap; retry later
+  // Re-admit parked requests while below the high watermark. Once drain()
+  // has started the park is always empty: it force-admits everything and
+  // submit() parks nothing more.
+  bool readmitted = false;
+  while (!parked_.empty() && !shedding_ &&
+         (options_.watermark_high == 0 ||
+          queue_.size() < options_.watermark_high)) {
+    queue_.push_back(parked_.front());
     parked_.pop_front();
-    ++backlog_;
-    if (options_.watermark_high > 0 && !draining_ &&
-        backlog_ >= options_.watermark_high) {
+    readmitted = true;
+    if (options_.watermark_high > 0 &&
+        queue_.size() >= options_.watermark_high) {
       shedding_ = true;
       ++acct_.shed_mode_changes;
-      break;
     }
   }
+  return readmitted;
 }
 
 void Service::worker_main(int worker_index) {
-  const std::size_t epoch_slot =
-      static_cast<std::size_t>(options_.max_clients + worker_index);
   WorkerMetrics& wm = worker_metrics_[static_cast<std::size_t>(worker_index)];
   double& batches = wm.own.counter("serve_batches");
   obs::Histogram& batch_sizes = wm.own.histogram("serve_batch_size");
 
   std::vector<PendingRequest*> batch;
   batch.reserve(static_cast<std::size_t>(options_.batch_size));
-  int idle = 0;
   for (;;) {
     batch.clear();
-    PendingRequest* pending = nullptr;
-    while (batch.size() < static_cast<std::size_t>(options_.batch_size) &&
-           queue_.try_pop(epoch_slot, &pending)) {
-      batch.push_back(pending);
-    }
-    if (!batch.empty()) {
-      idle = 0;
-      batches += 1.0;
-      batch_sizes.record(static_cast<double>(batch.size()));
-      {
-        const std::lock_guard<std::mutex> lock(state_mutex_);
-        backlog_ -= batch.size();
-        update_shedding_locked(epoch_slot);
-      }
-      for (PendingRequest* p : batch) finish_request(p, worker_index);
-      continue;
-    }
+    bool readmitted = false;
     {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      update_shedding_locked(epoch_slot);
-      if (draining_ && backlog_ == 0 && parked_.empty()) return;
+      std::unique_lock<std::mutex> lock(state_mutex_);
+      work_ready_.wait(lock, [this] { return !queue_.empty() || draining_; });
+      if (queue_.empty()) {
+        assert(parked_.empty());
+        return;  // draining, and nothing left to take
+      }
+      while (batch.size() < static_cast<std::size_t>(options_.batch_size) &&
+             !queue_.empty()) {
+        batch.push_back(queue_.front());
+        queue_.pop_front();
+      }
+      // Shedding can only clear when the backlog falls, so a pop is the
+      // only point after which the hysteresis needs another look.
+      readmitted = update_shedding_locked();
     }
-    // Empty (or a spurious pop failure while a producer is mid-flight):
-    // yield briefly, then back off so idle workers stay cheap.
-    if (++idle <= kIdleYields) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(kIdleSleep);
-    }
+    if (readmitted) work_ready_.notify_all();
+    batches += 1.0;
+    batch_sizes.record(static_cast<double>(batch.size()));
+    for (PendingRequest* p : batch) finish_request(p, worker_index);
   }
 }
 
 void Service::drain() {
-  // Serializes concurrent drain() callers (the flush loop and the joins
-  // must run exactly once); state_mutex_ stays the inner lock.
+  // Serializes concurrent drain() callers (the joins must run exactly
+  // once); state_mutex_ stays the inner lock.
   const std::lock_guard<std::mutex> drain_lock(drain_mutex_);
-  const std::size_t control_slot =
-      static_cast<std::size_t>(options_.max_clients + options_.workers);
   {
     const std::lock_guard<std::mutex> lock(state_mutex_);
     if (draining_ && workers_.empty()) return;  // already drained
     draining_ = true;
+    // Force-admit everything parked; the workers finish the rest.
+    queue_.insert(queue_.end(), parked_.begin(), parked_.end());
+    parked_.clear();
   }
-  // Force-admit everything parked; workers (and this push loop) finish the
-  // rest. A push can only fail against a hard custody cap — wait for the
-  // workers to free capacity.
-  for (;;) {
-    PendingRequest* pending = nullptr;
-    {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      if (parked_.empty()) break;
-      pending = parked_.front();
-      parked_.pop_front();
-      ++backlog_;
-    }
-    while (!queue_.try_push(control_slot, pending)) {
-      std::this_thread::sleep_for(kIdleSleep);
-    }
-  }
+  work_ready_.notify_all();
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
   assert(accounting().balanced());
@@ -319,14 +266,6 @@ obs::MetricsRegistry Service::tenant_metrics(int tenant) const {
     if (it != wm.tenants.end()) merged.merge(it->second);
   }
   return merged;
-}
-
-std::size_t Service::queue_segments_allocated() const noexcept {
-  return queue_.segments_allocated();
-}
-
-std::size_t Service::queue_segments_recycled() const noexcept {
-  return queue_.segments_recycled();
 }
 
 }  // namespace hp::serve

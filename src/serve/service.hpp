@@ -2,9 +2,10 @@
 // Long-running multi-tenant scheduling service over the engines.
 //
 // Clients submit Requests from their own threads; a pool of service workers
-// drains the lock-free MPMC intake queue (serve/mpmc_queue.hpp) in batches
-// and answers each request through a future. Three layers sit between
-// submit() and the engine:
+// takes them in batches from a FIFO under the one state lock submit()
+// already holds for admission, sleeping on a condition variable while it is
+// empty, and answers each request through a future. Three layers sit
+// between submit() and the engine:
 //
 //  * Admission control with the high/low-watermark hysteresis of the online
 //    runtime (src/online): once the queued backlog reaches watermark_high
@@ -28,6 +29,7 @@
 // stops intake, force-admits every parked request, and joins the workers
 // only after the queue is empty — nothing is lost or double-served.
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -38,7 +40,6 @@
 
 #include "obs/metrics.hpp"
 #include "online/runtime.hpp"
-#include "serve/mpmc_queue.hpp"
 #include "serve/request.hpp"
 
 namespace hp::serve {
@@ -51,16 +52,15 @@ enum class Admission : std::uint8_t { kAccepted = 0, kDeferred, kRejected };
 [[nodiscard]] const char* admission_name(Admission admission) noexcept;
 
 struct ServiceOptions {
-  int workers = 2;      ///< service worker threads draining the queue
-  int max_clients = 8;  ///< max concurrent submitting threads (epoch slots)
-  int batch_size = 8;   ///< requests a worker claims per wakeup
-  std::uint32_t segment_capacity = 64;  ///< intake ring slots per segment
-  /// Hard cap on values in queue custody (0 = unbounded; admission
-  /// watermarks are the intended bound — a full queue rejects).
-  std::size_t queue_capacity = 0;
+  int workers = 2;     ///< service worker threads draining the queue
+  /// Read by nothing. Kept only so the frozen benchmark (hpbench/) still
+  /// compiles; remove it with the next benchmark change.
+  int max_clients = 8;
+  int batch_size = 8;  ///< requests a worker claims per wakeup
   /// Admission hysteresis on the queued backlog: shedding starts at
-  /// watermark_high and clears at watermark_low (default high / 2).
-  /// 0 disables admission control entirely.
+  /// watermark_high and clears at watermark_low (default high / 2, clamped
+  /// below high by online::effective_watermark_low). 0 disables admission
+  /// control entirely.
   std::size_t watermark_high = 0;
   std::size_t watermark_low = 0;
   online::ShedPolicy shed_policy = online::ShedPolicy::kDefer;
@@ -82,10 +82,10 @@ class Service {
     std::future<Response> response;
   };
 
-  /// Submit from the calling thread, identified by `client_slot` in
-  /// [0, options.max_clients). Distinct concurrent submitters must use
-  /// distinct slots; a slot may be reused by consecutive threads.
-  [[nodiscard]] Ticket submit(Request request, int client_slot);
+  /// Submit from any thread. The int argument is ignored; it stays only so
+  /// the frozen benchmark (hpbench/) still compiles — remove it with the
+  /// next benchmark change.
+  [[nodiscard]] Ticket submit(Request request, int /*unused*/ = 0);
 
   /// Stop intake, force-admit every deferred request, finish everything in
   /// custody and join the workers. Idempotent. After drain() the accounting
@@ -98,7 +98,7 @@ class Service {
   struct Accounting {
     std::uint64_t submitted = 0;
     std::uint64_t accepted = 0;   ///< taken into custody (deferred included)
-    std::uint64_t rejected = 0;   ///< answered kRejected (shed or full)
+    std::uint64_t rejected = 0;   ///< answered kRejected (shed or drain)
     std::uint64_t deferred = 0;   ///< park events (subset of accepted)
     std::uint64_t completed = 0;
     std::uint64_t in_flight = 0;  ///< accepted - completed
@@ -120,9 +120,15 @@ class Service {
   /// drain() (workers write their registries without locks while running).
   [[nodiscard]] obs::MetricsRegistry tenant_metrics(int tenant) const;
 
-  /// Intake-queue reclamation counters (tests: allocation stays flat).
-  [[nodiscard]] std::size_t queue_segments_allocated() const noexcept;
-  [[nodiscard]] std::size_t queue_segments_recycled() const noexcept;
+  /// Always 0: the intake has no segments. Kept only because the frozen
+  /// benchmark (hpbench/) reports them; remove with the next benchmark
+  /// change.
+  [[nodiscard]] std::size_t queue_segments_allocated() const noexcept {
+    return 0;
+  }
+  [[nodiscard]] std::size_t queue_segments_recycled() const noexcept {
+    return 0;
+  }
 
  private:
   struct TenantCounters {
@@ -141,20 +147,25 @@ class Service {
 
   void worker_main(int worker_index);
   /// Re-evaluate the hysteresis and re-admit parked requests while below
-  /// the high watermark. Caller holds state_mutex_; `epoch_slot` pushes.
-  void update_shedding_locked(std::size_t epoch_slot);
+  /// the high watermark. Caller holds state_mutex_. Returns whether any
+  /// parked request was re-admitted.
+  bool update_shedding_locked();
   void finish_request(PendingRequest* pending, int worker_index);
   void reject_request(PendingRequest* pending);
 
   ServiceOptions options_;
-  MpmcQueue<PendingRequest*> queue_;
 
   std::mutex drain_mutex_;  ///< serializes drain() callers; outer lock
   mutable std::mutex state_mutex_;
+  /// Signalled (after unlocking) when queue_ gains work or drain starts;
+  /// idle workers wait on it under state_mutex_.
+  std::condition_variable work_ready_;
   Accounting acct_;
   std::map<int, TenantCounters> tenant_counts_;
+  /// Admitted requests not yet taken by a worker, FIFO. Its size is the
+  /// backlog the watermarks compare against.
+  std::deque<PendingRequest*> queue_;
   std::deque<PendingRequest*> parked_;  ///< deferred, FIFO
-  std::size_t backlog_ = 0;             ///< requests queued (not executing)
   bool shedding_ = false;
   bool draining_ = false;
   std::uint64_t next_id_ = 1;

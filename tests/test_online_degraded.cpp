@@ -306,6 +306,16 @@ TEST(OnlineDegraded, WatermarkLowDefaultsToHalfOfHigh) {
   }
 }
 
+// The online runtime and serve::Service share this clamp: a low watermark
+// at or above the high one would let one backlog both keep and clear
+// shedding, flipping the mode twice per pop.
+TEST(OnlineDegraded, EffectiveWatermarkLowClampsBelowHigh) {
+  EXPECT_EQ(online::effective_watermark_low(0, 7), 0u);  // admission off
+  EXPECT_EQ(online::effective_watermark_low(4, 0), 2u);  // default high / 2
+  EXPECT_EQ(online::effective_watermark_low(4, 9), 3u);  // clamped
+  EXPECT_EQ(online::effective_watermark_low(1, 0), 0u);
+}
+
 TEST(OnlineDegraded, TickClockRunsAreByteIdentical) {
   // Full observability attached (events + self-profiling under the tick
   // clock): two runs must produce byte-identical Chrome traces and counter

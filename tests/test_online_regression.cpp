@@ -220,6 +220,24 @@ TEST(OnlineRegression, PoissonCholeskyBackoffMatchesRecordedChecksums) {
                  7919, golden);
 }
 
+TEST(OnlineRegression, PoissonCholeskyRejectMatchesRecordedChecksums) {
+  // Rejected DAG tasks leave their descendants unfinished; the run must
+  // still end. At rates 0x and 16x the backlog never reaches the
+  // watermark, so those two digests equal the defer case's.
+  const Digest golden[5] = {
+      {0x1f38656b9fc84663ull, 0x76c5809e540907acull},
+      {0x5492a3a5b68428e8ull, 0xe0932493e68e42cbull},
+      {0x36919cdefcbb11d4ull, 0x52b92a7f09d79ce7ull},
+      {0x80f088088101d158ull, 0x60c22b7d671dfc07ull},
+      {0x48bb04a346a11ee7ull, 0xd161741366deec86ull},
+  };
+  expect_poisson(ranked_cholesky(8),
+                 {.platform = Platform(4, 2),
+                  .watermark_high = 4,
+                  .policy = online::ShedPolicy::kReject},
+                 1, golden);
+}
+
 /// Sixteen tasks with dyadic times, so completions land exactly on the
 /// quarter-unit grid the hand-built arrivals and ticks use.
 std::vector<Task> dyadic_tasks() {

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "model/generators.hpp"
@@ -50,9 +52,8 @@ TEST(ServeService, SingleRequestMatchesDirectRunBitwise) {
 
     ServiceOptions options;
     options.workers = 1;
-    options.max_clients = 1;
     Service service(options);
-    Service::Ticket ticket = service.submit(Request(original), 0);
+    Service::Ticket ticket = service.submit(Request(original));
     EXPECT_EQ(ticket.admission, Admission::kAccepted);
     const Response response = ticket.response.get();
     EXPECT_EQ(response.status, ResponseStatus::kCompleted);
@@ -72,12 +73,11 @@ TEST(ServeService, SingleRequestMatchesDirectRunBitwise) {
 TEST(ServeService, AccountingBalancesAtEveryObservationPoint) {
   ServiceOptions options;
   options.workers = 2;
-  options.max_clients = 1;
   Service service(options);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 24; ++i) {
     Service::Ticket ticket =
-        service.submit(make_request(20, static_cast<std::uint64_t>(i)), 0);
+        service.submit(make_request(20, static_cast<std::uint64_t>(i)));
     futures.push_back(std::move(ticket.response));
     // The identity holds mid-stream, not just at quiescence.
     EXPECT_TRUE(service.accounting().balanced()) << "after submission " << i;
@@ -101,16 +101,15 @@ TEST(ServeService, AccountingBalancesAtEveryObservationPoint) {
 TEST(ServeService, RejectPolicyAnswersEveryShedRequest) {
   ServiceOptions options;
   options.workers = 1;
-  options.max_clients = 1;
   options.watermark_high = 2;
   options.shed_policy = online::ShedPolicy::kReject;
   Service service(options);
 
-  Service::Ticket big = service.submit(make_request(60000, 1), 0);
+  Service::Ticket big = service.submit(make_request(60000, 1));
   std::vector<Service::Ticket> burst;
   for (int i = 0; i < 12; ++i) {
     burst.push_back(
-        service.submit(make_request(10, static_cast<std::uint64_t>(i)), 0));
+        service.submit(make_request(10, static_cast<std::uint64_t>(i))));
   }
   int rejected_tickets = 0;
   int rejected_responses = 0;
@@ -138,16 +137,15 @@ TEST(ServeService, RejectPolicyAnswersEveryShedRequest) {
 TEST(ServeService, DeferPolicyCompletesEverything) {
   ServiceOptions options;
   options.workers = 1;
-  options.max_clients = 1;
   options.watermark_high = 2;
   options.shed_policy = online::ShedPolicy::kDefer;
   Service service(options);
 
   std::vector<Service::Ticket> tickets;
-  tickets.push_back(service.submit(make_request(60000, 1), 0));
+  tickets.push_back(service.submit(make_request(60000, 1)));
   for (int i = 0; i < 12; ++i) {
     tickets.push_back(
-        service.submit(make_request(10, static_cast<std::uint64_t>(i)), 0));
+        service.submit(make_request(10, static_cast<std::uint64_t>(i))));
   }
   int deferred = 0;
   for (const Service::Ticket& t : tickets) {
@@ -166,36 +164,9 @@ TEST(ServeService, DeferPolicyCompletesEverything) {
   EXPECT_EQ(acct.deferred, static_cast<std::uint64_t>(deferred));
 }
 
-TEST(ServeService, QueueHardCapConvertsAcceptanceToRejection) {
-  ServiceOptions options;
-  options.workers = 1;
-  options.max_clients = 1;
-  options.queue_capacity = 1;  // custody cap, no admission watermark
-  Service service(options);
-
-  std::vector<Service::Ticket> tickets;
-  tickets.push_back(service.submit(make_request(60000, 1), 0));
-  for (int i = 0; i < 8; ++i) {
-    tickets.push_back(
-        service.submit(make_request(10, static_cast<std::uint64_t>(i)), 0));
-  }
-  std::uint64_t rejected = 0;
-  for (Service::Ticket& t : tickets) {
-    const Response r = t.response.get();
-    rejected += r.status == ResponseStatus::kRejected ? 1 : 0;
-  }
-  service.drain();
-  const Service::Accounting acct = service.accounting();
-  EXPECT_TRUE(acct.balanced());
-  EXPECT_EQ(acct.rejected, rejected);
-  EXPECT_EQ(acct.completed + acct.rejected, 9u);
-  EXPECT_GT(rejected, 0u) << "the custody cap never bit";
-}
-
 TEST(ServeService, TenantMetricsIsolateTraffic) {
   ServiceOptions options;
   options.workers = 2;
-  options.max_clients = 1;
   Service service(options);
   std::vector<std::future<Response>> futures;
   const int per_tenant[] = {5, 3, 0, 7};
@@ -204,8 +175,7 @@ TEST(ServeService, TenantMetricsIsolateTraffic) {
       futures.push_back(
           service
               .submit(make_request(15, static_cast<std::uint64_t>(i),
-                                   Backend::kHp, tenant),
-                      0)
+                                   Backend::kHp, tenant))
               .response);
     }
   }
@@ -232,10 +202,10 @@ TEST(ServeService, TenantMetricsIsolateTraffic) {
 }
 
 TEST(ServeService, SubmitAfterDrainIsRejectedNotDropped) {
-  Service service(ServiceOptions{.workers = 1, .max_clients = 1});
+  Service service(ServiceOptions{.workers = 1});
   service.drain();
   EXPECT_TRUE(service.draining());
-  Service::Ticket ticket = service.submit(make_request(10, 3), 0);
+  Service::Ticket ticket = service.submit(make_request(10, 3));
   EXPECT_EQ(ticket.admission, Admission::kRejected);
   EXPECT_EQ(ticket.response.get().status, ResponseStatus::kRejected);
   EXPECT_TRUE(service.accounting().balanced());
@@ -244,12 +214,11 @@ TEST(ServeService, SubmitAfterDrainIsRejectedNotDropped) {
 TEST(ServeService, DrainIsIdempotentAndDestructorSafe) {
   ServiceOptions options;
   options.workers = 2;
-  options.max_clients = 1;
   auto service = std::make_unique<Service>(options);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 6; ++i) {
     futures.push_back(
-        service->submit(make_request(12, static_cast<std::uint64_t>(i)), 0)
+        service->submit(make_request(12, static_cast<std::uint64_t>(i)))
             .response);
   }
   service->drain();
@@ -266,11 +235,10 @@ TEST(ServeService, DestructorDrainsOutstandingWork) {
   {
     ServiceOptions options;
     options.workers = 2;
-    options.max_clients = 1;
     Service service(options);
     for (int i = 0; i < 10; ++i) {
       futures.push_back(
-          service.submit(make_request(12, static_cast<std::uint64_t>(i)), 0)
+          service.submit(make_request(12, static_cast<std::uint64_t>(i)))
               .response);
     }
     // No drain(): the destructor owes every future an answer.
@@ -278,6 +246,112 @@ TEST(ServeService, DestructorDrainsOutstandingWork) {
   for (std::future<Response>& f : futures) {
     EXPECT_EQ(f.get().status, ResponseStatus::kCompleted);
   }
+}
+
+// Wake-up and drain races: client threads submit while drain() runs. Every
+// ticket must resolve (completed, or rejected once intake has stopped), the
+// identity must hold, nothing may stay in flight, and intake stays closed.
+// Repeated under ThreadSanitizer (--gtest_repeat) to shake out lost
+// wake-ups between submit()'s notify and idle workers.
+void submit_while_draining(const ServiceOptions& options) {
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 40;
+  Service service(options);
+  std::vector<std::vector<Service::Ticket>> tickets(kClients);
+  std::atomic<int> started{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      started.fetch_add(1);
+      for (int i = 0; i < kPerClient; ++i) {
+        tickets[static_cast<std::size_t>(c)].push_back(service.submit(
+            make_request(8, static_cast<std::uint64_t>(c * kPerClient + i),
+                         Backend::kHp, c)));
+      }
+    });
+  }
+  while (started.load() < kClients) std::this_thread::yield();
+  service.drain();
+  for (std::thread& t : clients) t.join();
+
+  std::uint64_t completed = 0;
+  std::uint64_t rejected = 0;
+  for (std::vector<Service::Ticket>& per_client : tickets) {
+    for (Service::Ticket& t : per_client) {
+      const Response r = t.response.get();
+      EXPECT_EQ(r.id, t.id);
+      if (r.status == ResponseStatus::kCompleted) {
+        ++completed;
+        EXPECT_NE(t.admission, Admission::kRejected);
+      } else {
+        ++rejected;
+        EXPECT_EQ(t.admission, Admission::kRejected);
+      }
+    }
+  }
+  const Service::Accounting acct = service.accounting();
+  EXPECT_TRUE(acct.balanced());
+  EXPECT_EQ(acct.in_flight, 0u);
+  EXPECT_EQ(acct.submitted, std::uint64_t{kClients * kPerClient});
+  EXPECT_EQ(acct.completed, completed);
+  EXPECT_EQ(acct.rejected, rejected);
+
+  Service::Ticket late = service.submit(make_request(8, 1));
+  EXPECT_EQ(late.admission, Admission::kRejected);
+  EXPECT_EQ(late.response.get().status, ResponseStatus::kRejected);
+  EXPECT_TRUE(service.accounting().balanced());
+}
+
+TEST(ServeService, SubmitRacingDrainResolvesEveryTicket) {
+  submit_while_draining(ServiceOptions{.workers = 2});
+}
+
+TEST(ServeService, SubmitRacingDrainUnderDeferResolvesEveryTicket) {
+  submit_while_draining(ServiceOptions{
+      .workers = 2, .batch_size = 2, .watermark_high = 2});
+}
+
+// Four clients against a shallow deferring watermark and two workers, no
+// drain until every ticket has resolved: the parked requests can only
+// complete through the workers' own re-admissions. Each client opens with a
+// large request so the workers are busy while the rest of the burst
+// arrives.
+TEST(ServeService, DeferredRequestsAreReadmittedByTheWorkers) {
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 30;
+  Service service(ServiceOptions{.workers = 2, .watermark_high = 2});
+  std::vector<std::vector<Service::Ticket>> tickets(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        tickets[static_cast<std::size_t>(c)].push_back(service.submit(
+            make_request(i == 0 ? 20000 : 30,
+                         static_cast<std::uint64_t>(c * kPerClient + i),
+                         Backend::kHp, c)));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  std::uint64_t deferred = 0;
+  for (std::vector<Service::Ticket>& per_client : tickets) {
+    for (Service::Ticket& t : per_client) {
+      EXPECT_NE(t.admission, Admission::kRejected);
+      deferred += t.admission == Admission::kDeferred ? 1 : 0;
+      EXPECT_EQ(t.response.get().status, ResponseStatus::kCompleted);
+    }
+  }
+  EXPECT_GT(deferred, 0u) << "the watermark never tripped";
+  Service::Accounting acct = service.accounting();
+  EXPECT_TRUE(acct.balanced());
+  EXPECT_EQ(acct.in_flight, 0u);
+  EXPECT_EQ(acct.completed, std::uint64_t{kClients * kPerClient});
+  EXPECT_EQ(acct.deferred, deferred);
+  service.drain();
+  acct = service.accounting();
+  EXPECT_TRUE(acct.balanced());
+  EXPECT_EQ(acct.completed, std::uint64_t{kClients * kPerClient});
 }
 
 }  // namespace
