@@ -1,17 +1,19 @@
 #pragma once
-// Internal building blocks shared by the batch HeteroPrio engine
-// (core/heteroprio.cpp) and the online rolling-horizon runtime
-// (online/runtime.cpp): the double-ended ready structure, the spoliation
-// victim ordering with its incremental per-resource running sets, and the
-// strict-improvement test of Algorithm 1.
+// Internal building blocks of the HeteroPrio engine (core/heteroprio.cpp):
+// the double-ended ready structure, the spoliation victim ordering with its
+// incremental per-resource running sets, the strict-improvement test of
+// Algorithm 1, the idle-worker bitset, and the finish-array scans that find
+// the next completion instant.
 //
 // This header is library-internal (not part of the public API in
-// core/heteroprio.hpp). Both engines must pop tasks, scan victims and
-// decide spoliation through the exact same code so that the online
-// runtime's correctness anchor holds: all arrivals at t=0 with no faults
-// is bitwise-identical to the batch engine.
+// core/heteroprio.hpp). One event loop serves batch and online runs
+// (core/hp_engine.hpp); the independent fast path shares the same ready
+// order, victim order, improvement test and finish-array scans, so both
+// paths pop tasks, scan victims and decide spoliation through the exact
+// same code and their schedules stay bitwise identical.
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -22,6 +24,11 @@
 #include "model/task_soa.hpp"
 #include "util/arena.hpp"
 #include "util/key_sort.hpp"
+
+#if defined(__SSE2__) && !defined(HP_NO_SIMD)
+#include <emmintrin.h>
+#define HP_ENGINE_SSE2 1
+#endif
 
 namespace hp::detail {
 
@@ -85,15 +92,8 @@ class ReadyQueue {
       return;
     }
     util::sort_key2_id(keys, arena);
+    reclaim_popped();
     const std::size_t live = size();
-    if (head_ > 0 && head_ >= live) {
-      // Reclaim the space GPU-end pops left behind: each compaction moves
-      // at most as many keys as pops freed since the last one.
-      std::memmove(buf_.begin(), buf_.begin() + head_,
-                   live * sizeof(util::KeyId2));
-      buf_.resize(live);
-      head_ = 0;
-    }
     const std::size_t need = buf_.size() + k;
     if (need > buf_.capacity()) {
       buf_.reserve(std::max(need, 2 * buf_.capacity()));
@@ -130,8 +130,18 @@ class ReadyQueue {
     return id;
   }
 
+  /// The task the next pop at each end returns (queue nonempty), so its
+  /// data can be prefetched while the current one runs.
+  [[nodiscard]] TaskId gpu_end() const noexcept {
+    return static_cast<TaskId>(buf_[head_].id);
+  }
+  [[nodiscard]] TaskId cpu_end() const noexcept {
+    return static_cast<TaskId>(buf_[buf_.size() - 1].id);
+  }
+
  private:
   void insert_key(const util::KeyId2& key) {
+    if (buf_.size() == buf_.capacity()) reclaim_popped();
     util::KeyId2* first = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
     util::KeyId2* at = std::lower_bound(first, buf_.end(), key, before);
     if (at == first && head_ > 0) {
@@ -139,6 +149,20 @@ class ReadyQueue {
     } else {
       buf_.insert(at, key);
     }
+  }
+
+  /// Reclaim the space GPU-end pops left behind once it is at least the
+  /// live range. Each compaction moves at most as many keys as pops freed
+  /// since the last one, and the buffer stays within a small multiple of
+  /// the largest backlog instead of growing with every task a long run
+  /// pops at the GPU end.
+  void reclaim_popped() noexcept {
+    const std::size_t live = size();
+    if (head_ == 0 || head_ < live) return;
+    std::memmove(buf_.begin(), buf_.begin() + head_,
+                 live * sizeof(util::KeyId2));
+    buf_.resize(live);
+    head_ = 0;
   }
 
   static bool before(const util::KeyId2& a, const util::KeyId2& b) noexcept {
@@ -220,5 +244,122 @@ inline bool strictly_better(double candidate_finish,
   const double margin = 1e-9 * std::max(1.0, std::abs(current_finish));
   return candidate_finish < current_finish - margin;
 }
+
+/// Earliest entry of `finish` (idle lanes hold +inf; `count` is at least
+/// two and padded to a multiple of two with +inf). The scalar min loop is a
+/// serial minsd dependency chain — at ~4 cycles per link it dominates the
+/// engine's inner loop — so the SSE2 form runs two independent accumulator
+/// chains.
+inline double min_finish_time(const double* finish,
+                              std::size_t count) noexcept {
+#ifdef HP_ENGINE_SSE2
+  __m128d acc0 = _mm_loadu_pd(finish);
+  __m128d acc1 = acc0;
+  std::size_t w = 2;
+  for (; w + 4 <= count; w += 4) {
+    acc0 = _mm_min_pd(acc0, _mm_loadu_pd(finish + w));
+    acc1 = _mm_min_pd(acc1, _mm_loadu_pd(finish + w + 2));
+  }
+  for (; w + 2 <= count; w += 2) {
+    acc0 = _mm_min_pd(acc0, _mm_loadu_pd(finish + w));
+  }
+  acc0 = _mm_min_pd(acc0, acc1);
+  acc0 = _mm_min_sd(acc0, _mm_unpackhi_pd(acc0, acc0));
+  return _mm_cvtsd_f64(acc0);
+#else
+  double t = finish[0];
+  for (std::size_t w = 1; w < count; ++w) t = std::min(t, finish[w]);
+  return t;
+#endif
+}
+
+/// Bitmask of lanes with finish[w] == t (the completion batch at instant
+/// t), over at most 64 lanes; `count` is even.
+inline std::uint64_t equal_finish_mask(const double* finish, std::size_t count,
+                                       double t) noexcept {
+  std::uint64_t mask = 0;
+#ifdef HP_ENGINE_SSE2
+  const __m128d vt = _mm_set1_pd(t);
+  for (std::size_t w = 0; w + 2 <= count; w += 2) {
+    const int bits =
+        _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(finish + w), vt));
+    mask |= static_cast<std::uint64_t>(bits) << w;
+  }
+#else
+  for (std::size_t w = 0; w < count; ++w) {
+    if (finish[w] == t) mask |= std::uint64_t{1} << w;
+  }
+#endif
+  return mask;
+}
+
+/// The idle workers of a platform as a bitset over worker ids, in as many
+/// 64-bit words as the platform needs. A dispatch pass visits a snapshot:
+/// GPUs first, then CPUs, each in ascending id — exactly the list of
+/// sim::WorkerPool::idle_workers_gpu_first() — so a worker idled during the
+/// pass (a spoliation victim) is served on the next pass, not this one.
+class IdleSet {
+ public:
+  /// Every worker starts idle.
+  IdleSet(int workers, int cpus, util::Arena& arena)
+      : words_(static_cast<std::size_t>(workers + 63) / 64),
+        cpus_(cpus),
+        workers_(workers),
+        bits_(arena.alloc_zeroed<std::uint64_t>(words_).data()),
+        snap_(arena.alloc<std::uint64_t>(words_)) {
+    for (WorkerId w = 0; w < workers; ++w) insert(w);
+  }
+
+  /// `w` must not be in the set.
+  void insert(WorkerId w) noexcept {
+    bits_[static_cast<std::size_t>(w) >> 6] |= std::uint64_t{1} << (w & 63);
+    ++count_;
+  }
+  /// `w` must be in the set.
+  void erase(WorkerId w) noexcept {
+    bits_[static_cast<std::size_t>(w) >> 6] &= ~(std::uint64_t{1} << (w & 63));
+    --count_;
+  }
+
+  [[nodiscard]] int count() const noexcept { return count_; }
+
+  /// The lowest idle worker id (the set is nonempty).
+  [[nodiscard]] WorkerId first() const noexcept {
+    std::size_t k = 0;
+    while (bits_[k] == 0) ++k;
+    return static_cast<WorkerId>(k * 64) +
+           static_cast<WorkerId>(std::countr_zero(bits_[k]));
+  }
+
+  /// Call `visit(w)` for each worker idle at the call, GPUs first.
+  template <typename F>
+  void for_each_gpu_first(F&& visit) {
+    for (std::size_t k = 0; k < words_; ++k) snap_[k] = bits_[k];
+    visit_range(cpus_, workers_, visit);
+    visit_range(0, cpus_, visit);
+  }
+
+ private:
+  template <typename F>
+  void visit_range(int lo, int hi, F& visit) const {
+    for (int base = lo & ~63; base < hi; base += 64) {
+      std::uint64_t bits = snap_[static_cast<std::size_t>(base) >> 6];
+      if (base < lo) bits &= ~std::uint64_t{0} << (lo - base);
+      if (hi - base < 64) bits &= (std::uint64_t{1} << (hi - base)) - 1;
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        bits &= bits - 1;
+        visit(static_cast<WorkerId>(base + b));
+      }
+    }
+  }
+
+  std::size_t words_;
+  int cpus_;
+  int workers_;
+  std::uint64_t* bits_;
+  std::uint64_t* snap_;
+  int count_ = 0;
+};
 
 }  // namespace hp::detail

@@ -1,8 +1,15 @@
 #pragma once
-// Internal: shared HeteroPrio engine for independent tasks and DAGs.
-// Not part of the public API; include core/heteroprio.hpp or
-// core/heteroprio_dag.hpp instead.
+// Internal: the one HeteroPrio event loop behind heteroprio(),
+// heteroprio_dag() and online::online_run*(). Not part of the public API;
+// include core/heteroprio.hpp, core/heteroprio_dag.hpp or online/runtime.hpp
+// instead.
+//
+// A batch run is an online run whose tasks all arrive at t=0 with no
+// deadlines, admission control or ticks, so both go through the same loop:
+// batch calls pass no OnlineHooks, online calls add them.
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "core/heteroprio.hpp"
@@ -10,13 +17,46 @@
 
 namespace hp::detail {
 
-/// Run HeteroPrio. When `graph` is null every task of `tasks` is ready at
-/// time 0; otherwise `tasks` must be graph->tasks() and readiness follows
-/// the dependencies.
+/// What an online run adds to the loop: the arrival cursor's plan and the
+/// admission, deadline and tick hooks. Each knob means what its namesake in
+/// online::OnlineOptions (online/runtime.hpp) documents.
+struct OnlineHooks {
+  /// Arrival instant per task id; tasks beyond the span arrive at t=0.
+  std::span<const double> arrival;
+  /// Relative deadline per task id; <= 0, or beyond the span, means none.
+  std::span<const double> rel_deadline;
+  double reschedule_period = 0.0;  ///< <= 0: no ticks
+  std::size_t watermark_high = 0;  ///< 0: no admission control
+  std::size_t watermark_low = 0;   ///< already clamped below the high mark
+  bool reject_when_shedding = false;
+  double straggler_factor = 0.0;
+  int respawn_budget = 0;
+};
+
+/// Counters only an online run keeps; online::OnlineStats carries them.
+struct OnlineCounters {
+  std::size_t tasks_arrived = 0;
+  std::size_t tasks_admitted = 0;
+  std::size_t tasks_rejected = 0;
+  std::size_t tasks_deferred = 0;
+  std::size_t deadline_misses = 0;
+  std::size_t replans = 0;
+  std::size_t reschedule_ticks = 0;
+  std::size_t mode_changes = 0;
+  std::uint8_t final_mode = 0;  ///< online::Mode
+};
+
+/// Run HeteroPrio. When `graph` is null every task of `tasks` is
+/// independent; otherwise `tasks` must be graph->tasks() and readiness
+/// follows the dependencies. Without `online` every task is ready at t=0;
+/// with it, tasks arrive from its plan and the online hooks run, and
+/// `counters` (if set) receives their counts.
 [[nodiscard]] Schedule run_heteroprio(std::span<const Task> tasks,
                                       const TaskGraph* graph,
                                       const Platform& platform,
                                       const HeteroPrioOptions& options,
-                                      HeteroPrioStats* stats);
+                                      HeteroPrioStats* stats,
+                                      const OnlineHooks* online = nullptr,
+                                      OnlineCounters* counters = nullptr);
 
 }  // namespace hp::detail

@@ -1,14 +1,17 @@
 #pragma once
 // Rolling-horizon online runtime around the HeteroPrio engine.
 //
-// Tasks arrive over simulated time (online::ArrivalPlan); the runtime reads
-// arrivals from a cursor sorted by (time, id) in front of a simulated-time
-// event queue (completion, crash, slow-begin/end, retry, deadline,
-// reschedule-tick) and re-plans incrementally: each instant inserts only
-// the tasks it made ready, in one batch, into the shared double-ended
-// ready structure (core/engine_parts.hpp) instead of re-sorting the
-// frontier from scratch. On top of the planning loop sits the robustness
-// policy:
+// Tasks arrive over simulated time (online::ArrivalPlan). online_run and
+// online_run_dag run the engine's one event loop (core/heteroprio.cpp)
+// with the online hooks attached: arrivals from a cursor sorted by (time,
+// id), deadlines from a cursor sorted by due time, completions from a
+// per-worker finish array, and crashes, straggler edges, retries,
+// reschedule ticks and abort wakeups from a simulated-time heap, all
+// merged by one shared sequence number (docs/online.md). Re-planning is
+// incremental: each instant inserts only the tasks it made ready, in one
+// batch, into the shared double-ended ready structure
+// (core/engine_parts.hpp) instead of re-sorting the frontier from
+// scratch. On top of the planning loop sits the robustness policy:
 //
 //  - per-task deadlines with miss accounting (observation only — a missed
 //    deadline never changes a decision),
@@ -25,8 +28,8 @@
 // Correctness anchor (regression-tested): a run whose arrivals all occur
 // at t=0 with no faults is bitwise-identical to the batch engine — the
 // arrival batch drains before the initial dispatch, reproducing the batch
-// engine's presorted ready set, and the main loop is the same code over
-// the same structures.
+// engine's presorted ready set, and the rest of the run is the same loop
+// over the same structures.
 
 #include <cstdint>
 #include <span>

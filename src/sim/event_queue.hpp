@@ -6,6 +6,13 @@
 // scheduler in this library fully deterministic (a core requirement: the
 // worst-case constructions of Thms 8/11/14 rely on reproducible
 // tie-breaking).
+//
+// claim_seq() hands out the next number without pushing. A caller that
+// keeps some events outside the heap (the HeteroPrio event loop keeps
+// completions in a per-worker finish array and deadlines in a sorted
+// cursor) claims a number for each one where it would have pushed, and
+// merges them with top() by (time, seq): the same total order as if every
+// event had gone through the heap.
 
 #include <algorithm>
 #include <cstdint>
@@ -27,6 +34,10 @@ class EventQueue {
     heap_.push_back(Event{time, next_seq_++, std::move(payload)});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
+
+  /// Take the sequence number the next push would get, for an event kept
+  /// outside the heap. Pushes after it order after it at equal times.
+  [[nodiscard]] std::uint64_t claim_seq() noexcept { return next_seq_++; }
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 namespace hp::sim {
@@ -86,6 +87,29 @@ TEST(EventQueue, TimeIfBeforeProbesWithoutPopping) {
   EXPECT_DOUBLE_EQ(*q.time_if_before(10.0), 3.0);
   EXPECT_FALSE(q.time_if_before(3.0).has_value());  // strict: before only
   EXPECT_EQ(q.size(), 1u);  // probing never pops
+}
+
+TEST(EventQueue, ClaimedSequenceOrdersAgainstPushes) {
+  // A claimed number sits between the pushes around it: at equal times it
+  // orders after the earlier push and before the later one, by (time, seq).
+  EventQueue<int> q;
+  q.push(1.0, 10);
+  const std::uint64_t claimed = q.claim_seq();
+  q.push(1.0, 11);
+  q.push(0.5, 5);
+  EXPECT_EQ(q.top().payload, 5);
+  q.pop();
+  ASSERT_EQ(q.top().time, 1.0);
+  EXPECT_EQ(q.top().payload, 10);
+  EXPECT_LT(q.top().seq, claimed);
+  q.pop();
+  EXPECT_EQ(q.top().payload, 11);
+  EXPECT_GT(q.top().seq, claimed);
+  // clear() resets the counter for claims as for pushes.
+  q.clear();
+  EXPECT_EQ(q.claim_seq(), 0u);
+  q.push(2.0, 20);
+  EXPECT_EQ(q.top().seq, 1u);
 }
 
 }  // namespace

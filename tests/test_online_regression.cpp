@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,8 @@
 
 namespace hp {
 namespace {
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 struct Digest {
   std::uint64_t schedule = 0;
@@ -61,23 +64,14 @@ std::uint64_t stats_checksum(std::uint64_t h, const online::OnlineStats& s) {
   return fnv1a(h, &s.first_idle_time, sizeof s.first_idle_time);
 }
 
-std::uint64_t events_checksum(std::span<const obs::Event> events) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const obs::Event& e : events) {
-    h = fnv1a(h, &e.time, sizeof e.time);
-    h = fnv1a(h, &e.kind, sizeof e.kind);
-    h = fnv1a(h, &e.task, sizeof e.task);
-    h = fnv1a(h, &e.worker, sizeof e.worker);
-    h = fnv1a(h, &e.victim, sizeof e.victim);
-    h = fnv1a(h, &e.value, sizeof e.value);
-  }
-  return h;
-}
-
 /// One online run; `graph` selects online_run_dag, otherwise `tasks` runs
 /// through online_run.
+/// `out`, when set, receives the run's stats, and `wakeups` its
+/// wakeup_only_instants.
 Digest run_digest(std::span<const Task> tasks, const TaskGraph* graph,
-                  const Platform& platform, online::OnlineOptions options) {
+                  const Platform& platform, online::OnlineOptions options,
+                  online::OnlineStats* out = nullptr,
+                  std::size_t* wakeups = nullptr) {
   obs::EventRecorder recorder;
   options.sink = &recorder;
   online::OnlineStats stats;
@@ -86,8 +80,18 @@ Digest run_digest(std::span<const Task> tasks, const TaskGraph* graph,
           ? online::online_run_dag(*graph, platform, options, &stats)
           : online::online_run(tasks, platform, options, &stats);
   EXPECT_EQ(stats.tasks_arrived, tasks.size());
+  if (out != nullptr) *out = stats;
+  if (wakeups != nullptr) *wakeups = wakeup_only_instants(recorder.events());
   return {stats_checksum(schedule_checksum(s), stats),
           events_checksum(recorder.events())};
+}
+
+/// The run `run_digest` records, without a sink: the schedule alone.
+Schedule run_plain(std::span<const Task> tasks, const TaskGraph* graph,
+                   const Platform& platform,
+                   const online::OnlineOptions& options) {
+  return graph != nullptr ? online::online_run_dag(*graph, platform, options)
+                          : online::online_run(tasks, platform, options);
 }
 
 void expect_digest(const Digest& got, const Digest& want,
@@ -408,6 +412,212 @@ TEST(OnlineRegression, PlansShorterAndLongerThanTheTaskSet) {
     expect_digest(run_digest(tasks, &chain, platform, o), golden[p][1],
                   std::string(names[p]) + " dag");
   }
+}
+
+/// The sixteen dyadic tasks with a few chain edges.
+TaskGraph dyadic_chain(const std::vector<Task>& tasks) {
+  TaskGraph chain("chain");
+  for (const Task& t : tasks) chain.add_task(t);
+  for (TaskId i = 0; i + 2 < 16; i += 3) chain.add_edge(i, i + 2);
+  chain.finalize();
+  return chain;
+}
+
+TEST(OnlineRegression, DeadlinesTieWithCompletions) {
+  // Deadlines only observe, so a run without them fixes every completion
+  // instant. Even tasks then get a deadline on their own completion, whose
+  // sequence number is taken at arrival, before the completion's. Odd tasks
+  // get one on the completion of a task that started before they arrived,
+  // so the completion's number comes first.
+  const std::vector<Task> tasks = dyadic_tasks();
+  const TaskGraph chain = dyadic_chain(tasks);
+  const Platform platform(2, 1);
+  const Digest golden[2] = {
+      {0x7cbd5714daf2ca64ull, 0xa01fc31d3add6f37ull},
+      {0x910e00dde350a520ull, 0x913b3fb1f977ac37ull},
+  };
+  for (int g = 0; g < 2; ++g) {
+    const TaskGraph* graph = g == 0 ? nullptr : &chain;
+    online::ArrivalPlan plan = shuffled_plan(tasks.size());
+    online::OnlineOptions o;
+    o.arrivals = &plan;
+    o.reschedule_period = 0.5;
+    const Schedule probe = run_plain(tasks, graph, platform, o);
+    int own = 0;
+    int other = 0;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const auto id = static_cast<TaskId>(i);
+      const double a = plan.arrival(id);
+      double due = 0.0;
+      if (i % 2 == 0) {
+        due = probe.placement(id).end;
+        ++own;
+      } else {
+        for (const Placement& p : probe.placements()) {
+          if (p.start < a && p.end > a) {
+            due = p.end;
+            ++other;
+            break;
+          }
+        }
+      }
+      if (due > a) plan.set(id, a, due - a);
+    }
+    ASSERT_GT(own, 0);
+    ASSERT_GT(other, 0);
+    online::OnlineStats stats;
+    expect_digest(run_digest(tasks, graph, platform, o, &stats), golden[g],
+                  g == 0 ? "indep" : "dag");
+    EXPECT_GT(stats.deadline_misses, 0u);
+  }
+}
+
+TEST(OnlineRegression, CrashTiesWithACompletionOnItsWorker) {
+  // Crashes are queued before any completion, so a crash at the instant its
+  // worker completes a task wins the tie: the attempt is aborted and
+  // re-enqueued. The crash instants come from a fault-free run, which the
+  // faulty one follows up to the first crash.
+  const std::vector<Task> tasks = dyadic_tasks();
+  const TaskGraph chain = dyadic_chain(tasks);
+  const Platform platform(2, 1);
+  const online::ArrivalPlan plan = shuffled_plan(tasks.size());
+  const Digest golden[2] = {
+      {0x1c158b4520882346ull, 0x80fd3b07d2b04df0ull},
+      {0x25e7b81fbea2d205ull, 0x6ee062d6f7b9da54ull},
+  };
+  for (int g = 0; g < 2; ++g) {
+    const TaskGraph* graph = g == 0 ? nullptr : &chain;
+    online::OnlineOptions o;
+    o.arrivals = &plan;
+    o.reschedule_period = 0.5;
+    const Schedule probe = run_plain(tasks, graph, platform, o);
+    double first_end = kInfinity;
+    for (const Placement& p : probe.placements()) {
+      if (p.worker == 0) first_end = std::min(first_end, p.end);
+    }
+    ASSERT_LT(first_end, kInfinity);
+    fault::FaultPlan faults;
+    faults.add_crash(0, first_end);
+    o.faults = &faults;
+    const Schedule crashed = run_plain(tasks, graph, platform, o);
+    ASSERT_FALSE(crashed.aborted().empty());
+    EXPECT_EQ(crashed.aborted().front().worker, 0);
+    EXPECT_EQ(crashed.aborted().front().abort_time, first_end);
+    expect_digest(run_digest(tasks, graph, platform, o), golden[g],
+                  g == 0 ? "indep" : "dag");
+  }
+}
+
+TEST(OnlineRegression, AbandonedAttemptsWakeTheLoopAlone) {
+  // The old finish time of an attempt that a spoliation, a crash or a
+  // straggler respawn aborted still opens an instant: its dispatch pass
+  // counts spoliation attempts and skips and samples the queue. Each run
+  // below aborts attempts one way only, and at least one such instant has
+  // nothing else happening.
+  util::Rng rng(0xab0e7u);
+  const Instance inst = uniform_instance({.num_tasks = 40}, rng);
+  const std::vector<Task> tasks(inst.tasks().begin(), inst.tasks().end());
+  const Platform platform(3, 2);
+  const double lb = opt_lower_bound(tasks, platform);
+  const online::ArrivalPlan plan = online::ArrivalPlan::generate(
+      {.rate = static_cast<double>(tasks.size()) / lb, .seed = 5}, tasks);
+  std::vector<Task> slow = tasks;
+  for (std::size_t i = 0; i < slow.size(); i += 5) {
+    slow[i].cpu_time *= 6.0;
+    slow[i].gpu_time *= 6.0;
+  }
+  fault::FaultPlan crashes;
+  crashes.add_crash(0, 0.3 * lb);
+  crashes.add_crash(3, 0.5 * lb);
+
+  online::OnlineOptions spoliated;
+  spoliated.arrivals = &plan;
+  online::OnlineOptions crashed;
+  crashed.arrivals = &plan;
+  crashed.enable_spoliation = false;
+  crashed.faults = &crashes;
+  online::OnlineOptions respawned;
+  respawned.arrivals = &plan;
+  respawned.enable_spoliation = false;
+  respawned.actual_times = slow;
+  respawned.reschedule_period = lb / 40.0;
+  respawned.straggler_factor = 1.5;
+  respawned.respawn_budget = 16;
+
+  const online::OnlineOptions* runs[3] = {&spoliated, &crashed, &respawned};
+  const char* const names[3] = {"spoliated", "crashed", "respawned"};
+  const Digest golden[3] = {
+      {0x7a0c4a7fec840178ull, 0x3ea223d9ed6d41d2ull},
+      {0xcb072abec9a3fe24ull, 0x8e2b80d2c8878ac7ull},
+      {0x8c1ec745f1f672d0ull, 0xed5566754efd443eull},
+  };
+  for (int r = 0; r < 3; ++r) {
+    online::OnlineStats stats;
+    std::size_t wakeups = 0;
+    expect_digest(run_digest(tasks, nullptr, platform, *runs[r], &stats,
+                             &wakeups),
+                  golden[r], names[r]);
+    const int aborts[3] = {stats.spoliations, stats.recovery.crash_requeues,
+                           stats.recovery.straggler_respawns};
+    EXPECT_GT(aborts[r], 0) << names[r];
+#ifndef HP_OBS_OFF
+    EXPECT_GT(wakeups, 0u) << names[r];
+#endif  // HP_OBS_OFF
+  }
+}
+
+/// dyadic_tasks() with a zero CPU time on every fourth task and a zero GPU
+/// time on the next one.
+std::vector<Task> tasks_with_zero_times() {
+  std::vector<Task> tasks = dyadic_tasks();
+  for (std::size_t i = 0; i < tasks.size(); i += 4) {
+    tasks[i].cpu_time = 0.0;
+    tasks[i + 1].gpu_time = 0.0;
+  }
+  return tasks;
+}
+
+TEST(OnlineRegression, ZeroDurationTasksFinishAtTheirStart) {
+  // A zero-length attempt completes at the instant it starts, which opens
+  // a second instant at the same time after the dispatch pass.
+  const std::vector<Task> tasks = tasks_with_zero_times();
+  const TaskGraph chain = dyadic_chain(tasks);
+  const Platform platform(2, 1);
+  const online::ArrivalPlan plan = shuffled_plan(tasks.size());
+  fault::FaultPlan faults;
+  faults.set_task_faults(0.3, 3, 0.0, 11);
+  online::OnlineOptions o;
+  o.arrivals = &plan;
+  o.reschedule_period = 0.5;
+  o.faults = &faults;
+  const Digest golden[2] = {
+      {0x84051181b295477cull, 0x8b4625f2e4c36b86ull},
+      {0x3fa72f397ccbe2bull, 0x73da05ca1485f629ull},
+  };
+  expect_digest(run_digest(tasks, nullptr, platform, o), golden[0], "indep");
+  expect_digest(run_digest(tasks, &chain, platform, o), golden[1], "dag");
+}
+
+TEST(OnlineRegression, PoissonOnMoreThanSixtyFourWorkers) {
+  // 70 CPUs + 6 GPUs: the idle set and the finish array span two 64-bit
+  // words.
+  const Shape shape{.platform = Platform(70, 6), .watermark_high = 256};
+  const Digest indep[5] = {
+      {0x6d7a0a21b6c656c1ull, 0x2c62ee1fb2ca72afull},
+      {0x66170e926a2beadbull, 0x47b4362101e2f912ull},
+      {0xb6dce24262fffad8ull, 0xcbf6ad6fbe302b3ull},
+      {0xe0796313c6f9e836ull, 0xa525f8f65e614136ull},
+      {0xb9f95556463a9313ull, 0x99453dff3f6fead2ull},
+  };
+  expect_poisson(independent_graph(2000), shape, 3, indep);
+  const Digest dag[5] = {
+      {0xb1633d6f5d334bf5ull, 0xfeb50a41d8df0b65ull},
+      {0xee975122f47b62ebull, 0xbbb68ff2f75834aaull},
+      {0x30e18348fcc5e635ull, 0x9c25939d15a7829aull},
+      {0x29fc20557b8286beull, 0x4b4f6306425e2397ull},
+      {0xbf599d5bc71f26bdull, 0xa83b04dfccbb5882ull},
+  };
+  expect_poisson(ranked_cholesky(8), shape, 3, dag);
 }
 
 }  // namespace
