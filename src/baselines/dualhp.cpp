@@ -1,10 +1,11 @@
 #include "baselines/dualhp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -24,50 +25,101 @@ namespace detail {
 
 namespace {
 
-/// De-interleave cpu/gpu durations of all tasks into arena arrays.
-struct TaskTimes {
-  std::span<const double> cpu;
-  std::span<const double> gpu;
-};
+/// The least-loaded worker under repeated pushes, ties to the lowest index
+/// (the worker least_loaded returns), kept as a tournament tree: each
+/// internal node holds the winner of its two children, the lower load with
+/// ties to the left, so the root is the least-loaded worker and a push
+/// replays only its leaf's path to the root: log2(workers) comparisons
+/// instead of a scan of every worker. Leaves past the worker count hold
+/// +inf and never win. Agrees with the scan whenever no load is NaN.
+class LoadTree {
+ public:
+  explicit LoadTree(util::Arena& arena) : load_(arena), winner_(arena) {}
 
-TaskTimes split_times(std::span<const Task> tasks, util::Arena& arena) {
-  double* cpu = arena.alloc<double>(tasks.size());
-  double* gpu = arena.alloc<double>(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    cpu[i] = tasks[i].cpu_time;
-    gpu[i] = tasks[i].gpu_time;
+  void assign(std::span<const double> loads) {
+    leaves_ = std::bit_ceil(std::max<std::size_t>(loads.size(), 1));
+    load_.resize(leaves_);
+    std::copy(loads.begin(), loads.end(), load_.begin());
+    std::fill(load_.begin() + loads.size(), load_.end(),
+              std::numeric_limits<double>::infinity());
+    winner_.resize(leaves_);
+    for (std::size_t node = leaves_; node-- > 1;) replay(node);
   }
-  return TaskTimes{{cpu, tasks.size()}, {gpu, tasks.size()}};
-}
+
+  [[nodiscard]] std::size_t least() const {
+    return leaves_ == 1 ? 0 : winner_[1];
+  }
+
+  [[nodiscard]] double load(std::size_t w) const { return load_[w]; }
+
+  /// Add `dt` to worker w's load; returns the new load.
+  double push(std::size_t w, double dt) {
+    const double load = load_[w] += dt;
+    for (std::size_t node = (w + leaves_) / 2; node >= 1; node /= 2) {
+      replay(node);
+    }
+    return load;
+  }
+
+ private:
+  std::uint32_t entrant(std::size_t node) const {
+    return node >= leaves_ ? static_cast<std::uint32_t>(node - leaves_)
+                           : winner_[node];
+  }
+  void replay(std::size_t node) {
+    const std::uint32_t left = entrant(2 * node);
+    const std::uint32_t right = entrant(2 * node + 1);
+    winner_[node] = load_[right] < load_[left] ? right : left;
+  }
+
+  util::ArenaVector<double> load_;
+  util::ArenaVector<std::uint32_t> winner_;
+  std::size_t leaves_ = 1;
+};
 
 /// One dual-approximation solve: fixed candidates and initial loads, tried
 /// at many lambdas, all at or above `floor`. dual_try runs once per
 /// bisection step and — in the DAG scheduler — the whole bisection reruns
 /// every time a task becomes ready, so everything that does not depend on
-/// lambda is computed once in prepare(). All storage comes from the run's
-/// arena and is reused by the next solve.
+/// lambda is computed once in prepare(), or once per solve on first use.
+/// All storage comes from the run's arena and is reused by the next solve.
 struct DualSolve {
   explicit DualSolve(util::Arena& arena)
-      : cpu(arena), gpu(arena), to_gpu(arena), to_cpu(arena) {}
+      : forcable(arena),
+        to_gpu(arena),
+        to_cpu(arena),
+        cpu(arena),
+        gpu(arena),
+        gpu_peak(arena),
+        p_suffix(arena),
+        p_suffix_max(arena),
+        cpu_tree(arena) {}
 
-  /// Set up a solve whose every tried lambda is >= `floor`.
-  void prepare(const TaskTimes& task_times,
-               std::span<const TaskId> candidate_ids,
+  /// Set up a solve whose every tried lambda is >= `floor`. `p`/`q` are the
+  /// candidates' CPU and GPU times, sorted by non-increasing acceleration
+  /// factor.
+  void prepare(std::span<const double> p_times,
+               std::span<const double> q_times,
                std::span<const double> cpu_loads,
                std::span<const double> gpu_loads, double lambda_floor,
                util::Arena& arena);
 
-  TaskTimes times;
-  std::span<const TaskId> candidates;
+  std::span<const double> p;
+  std::span<const double> q;
   std::span<const double> cpu_init;
   std::span<const double> gpu_init;
   double floor = 0.0;
-  /// Slack of the load-sum rejection test (see load_bound_exceeded), or
-  /// negative when the test is off for this solve.
+  /// Slack of the load-sum tests (see load_bound_exceeded), or negative
+  /// when they are off for this solve.
   double margin = -1.0;
-  /// Per-try working loads, refilled from cpu_init/gpu_init.
-  util::ArenaVector<double> cpu;
-  util::ArenaVector<double> gpu;
+  /// margin >= 0 and every time and load finite: the GPU trajectory may
+  /// stand in for the GPU pass (build_trajectory).
+  bool finite = false;
+  /// Sum of min(p, q) over the candidates no lambda >= floor can force.
+  double never_forced_min = 0.0;
+  /// Indices of the candidates some lambda >= floor can force (p or q above
+  /// the floor), ascending. The forced-work scan walks only these.
+  util::ArenaVector<std::uint32_t> forcable;
   /// The only candidates a lambda >= floor can force to the GPUs (cpu time
   /// above the floor), ascending (descending_key(gpu time), index) — the
   /// (duration desc, index asc) order forced tasks are placed in. At a given
@@ -75,45 +127,94 @@ struct DualSolve {
   /// re-sort. `to_cpu` is the mirror image.
   util::ArenaVector<util::KeyId> to_gpu;
   util::ArenaVector<util::KeyId> to_cpu;
+  /// Per-try working loads, refilled from cpu_init/gpu_init.
+  util::ArenaVector<double> cpu;
+  util::ArenaVector<double> gpu;
+
+  /// Built by the first try that forces nothing (build_trajectory):
+  /// gpu_peak[i] is the largest `load + q` among the first i + 1 pushes of
+  /// the GPU greedy run without a cap over every candidate; p_suffix[i] and
+  /// p_suffix_max[i] are the sum and the maximum of p over candidates i..
+  bool trajectory_built = false;
+  util::ArenaVector<double> gpu_peak;
+  util::ArenaVector<double> p_suffix;
+  util::ArenaVector<double> p_suffix_max;
+  /// The CPU pass's loads (cpu_pass).
+  LoadTree cpu_tree;
 };
 
-void DualSolve::prepare(const TaskTimes& task_times,
-                        std::span<const TaskId> candidate_ids,
+void DualSolve::prepare(std::span<const double> p_times,
+                        std::span<const double> q_times,
                         std::span<const double> cpu_loads,
                         std::span<const double> gpu_loads,
                         double lambda_floor, util::Arena& arena) {
-  times = task_times;
-  candidates = candidate_ids;
+  p = p_times;
+  q = q_times;
   cpu_init = cpu_loads;
   gpu_init = gpu_loads;
   floor = lambda_floor;
+  trajectory_built = false;
   cpu.resize(cpu_loads.size());
   gpu.resize(gpu_loads.size());
+
+  // Count first, so each list is reserved at its exact size.
+  bool non_negative = true;
+  bool all_finite = true;
+  double never = 0.0;
+  std::size_t forcable_count = 0;
+  std::size_t gpu_count = 0;
+  std::size_t cpu_count = 0;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const double pi = p[i];
+    const double qi = q[i];
+    non_negative &= pi >= 0.0 && qi >= 0.0;
+    all_finite &= std::isfinite(pi) && std::isfinite(qi);
+    const bool gpu_side = pi > floor;
+    const bool cpu_side = qi > floor;
+    if (gpu_side || cpu_side) {
+      ++forcable_count;
+      gpu_count += gpu_side ? 1 : 0;
+      cpu_count += cpu_side ? 1 : 0;
+    } else {
+      never += std::min(pi, qi);
+    }
+  }
+  never_forced_min = never;
+  forcable.clear();
   to_gpu.clear();
   to_cpu.clear();
-  bool non_negative = true;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const auto id = static_cast<std::size_t>(candidates[i]);
-    const double p = times.cpu[id];
-    const double q = times.gpu[id];
-    non_negative &= p >= 0.0 && q >= 0.0;
+  forcable.reserve(forcable_count);
+  to_gpu.reserve(gpu_count);
+  to_cpu.reserve(cpu_count);
+  for (std::size_t i = 0; forcable.size() < forcable_count; ++i) {
+    const bool gpu_side = p[i] > floor;
+    const bool cpu_side = q[i] > floor;
+    if (!gpu_side && !cpu_side) continue;
     const auto index = static_cast<std::uint32_t>(i);
-    if (p > floor) to_gpu.push_back({soa::descending_key(q), index});
-    if (q > floor) to_cpu.push_back({soa::descending_key(p), index});
+    forcable.push_back(index);
+    if (gpu_side) to_gpu.push_back({soa::descending_key(q[i]), index});
+    if (cpu_side) to_cpu.push_back({soa::descending_key(p[i]), index});
   }
   util::sort_key_id(to_gpu.span(), arena);
   util::sort_key_id(to_cpu.span(), arena);
-  for (const double load : cpu_loads) non_negative &= load >= 0.0;
-  for (const double load : gpu_loads) non_negative &= load >= 0.0;
+  for (const double load : cpu_loads) {
+    non_negative &= load >= 0.0;
+    all_finite &= std::isfinite(load);
+  }
+  for (const double load : gpu_loads) {
+    non_negative &= load >= 0.0;
+    all_finite &= std::isfinite(load);
+  }
   // Each compared sum adds at most n = candidates + workers non-negative
   // terms, and so do the greedy's per-worker loads; their rounding errors
   // together stay below 3n unit roundoffs relative, which 4n epsilons (2
   // roundoffs each) cover with room to spare. 1e-9 is the floor of the
   // margin, so it only grows past that for n above ~1e6.
-  const auto terms = static_cast<double>(
-      candidates.size() + cpu_loads.size() + gpu_loads.size());
+  const auto terms =
+      static_cast<double>(p.size() + cpu_loads.size() + gpu_loads.size());
   constexpr double kEpsilon = std::numeric_limits<double>::epsilon();
   margin = non_negative ? std::max(1e-9, 4.0 * terms * kEpsilon) : -1.0;
+  finite = non_negative && all_finite;
 }
 
 /// Index of the least-loaded worker, ties to the lowest index: the worker a
@@ -163,51 +264,154 @@ bool load_bound_exceeded(const DualSolve& solve, double lambda,
          gpu_work + cpu_work + flexible > (cpus + gpus) * cap * slack;
 }
 
-/// dual_try over a prepared solve with a caller-owned result buffer (the
-/// allocation-free hot path; the public dual_try wraps it). Durations come
-/// from the de-interleaved per-task arrays — every try re-reads each
-/// candidate's two doubles, so they ride in two cache-dense arrays instead
-/// of strided Task records.
-void dual_try_into(DualSolve& solve, double lambda, DualTry& result) {
+/// Record the GPU pass of every lambda that forces nothing, in one run.
+///
+/// When no candidate is forced, the GPU pass starts from the initial GPU
+/// loads and offers every candidate in order; it pushes `load + q` onto the
+/// least-loaded GPU until the first push that would exceed cap = 2*lambda.
+/// Up to that push it makes the same moves whatever the cap, so one run
+/// without a cap performs them all and sees the same doubles. gpu_peak[i],
+/// the running maximum of those `load + q` values, is non-decreasing, and
+/// the pass at cap breaks at the first i with gpu_peak[i] > cap: a binary
+/// search. The suffix sums of p feed the CPU-pass tests of cpu_pass.
+void build_trajectory(DualSolve& solve) {
+  const std::size_t count = solve.p.size();
+  const std::span<double> gpu = solve.gpu.span();
+  std::copy(solve.gpu_init.begin(), solve.gpu_init.end(), gpu.begin());
+  solve.gpu_peak.resize(count);
+  double peak = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < count; ++i) {
+    double& load = gpu[least_loaded(gpu)];
+    load += solve.q[i];
+    peak = std::max(peak, load);
+    solve.gpu_peak[i] = peak;
+  }
+  solve.p_suffix.resize(count + 1);
+  solve.p_suffix_max.resize(count + 1);
+  solve.p_suffix[count] = 0.0;
+  solve.p_suffix_max[count] = 0.0;
+  for (std::size_t k = count; k-- > 0;) {
+    solve.p_suffix[k] = solve.p_suffix[k + 1] + solve.p[k];
+    solve.p_suffix_max[k] = std::max(solve.p_suffix_max[k + 1], solve.p[k]);
+  }
+  solve.trajectory_built = true;
+}
+
+/// Pass 3: the flexible candidates from index `from` on go to the CPUs,
+/// each onto the least-loaded one; false when a push ends above cap. `cpu`
+/// holds the loads the forced passes left. `from_trajectory` says that no
+/// candidate is forced at `lambda` and the trajectory is built, so the
+/// spilled candidates are exactly from..end and their sums are stored.
+///
+/// Two tests settle most tries without pushing. Let c_w be the m CPU loads
+/// on entry, S the spilled work and P its largest task.
+///  - Reject when sum_w min(c_w, cap) + S > m * cap * (1 + margin). If the
+///    pass succeeds, a CPU that receives a task ends at or below cap, so
+///    it started at or below cap too; one that receives none keeps c_w.
+///    Either way min(c_w, cap) + its placed work <= cap, and summing over
+///    the CPUs bounds the left side by m * cap.
+///  - Accept when (sum_w c_w + S) / m + P <= cap / (1 + margin). Every
+///    push goes onto a least-loaded CPU, whose load is at most the average
+///    of the current loads, which is at most (sum_w c_w + S - p) / m for
+///    the pushed p. So every push ends at or below (sum_w c_w + S) / m + P.
+/// `margin` covers the rounding of these sums against the greedy's own, as
+/// in load_bound_exceeded, whose preconditions both tests share. The pushes
+/// that remain pick their CPU from cpu_tree.
+bool cpu_pass(DualSolve& solve, double lambda, std::size_t from,
+              bool from_trajectory) {
+  const std::span<const double> p = solve.p;
+  const std::span<const double> q = solve.q;
+  const std::size_t count = p.size();
+  const double cap = 2.0 * lambda;
+  double spilled = 0.0;
+  double largest = 0.0;
+  std::size_t spilled_count = 0;
+  if (from_trajectory) {
+    spilled = solve.p_suffix[from];
+    largest = solve.p_suffix_max[from];
+    spilled_count = count - from;
+  } else {
+    for (std::size_t i = from; i < count; ++i) {
+      if (p[i] > lambda || q[i] > lambda) continue;
+      spilled += p[i];
+      largest = std::max(largest, p[i]);
+      ++spilled_count;
+    }
+  }
+  if (spilled_count == 0) return true;
+  const std::span<double> cpu = solve.cpu.span();
+  if (cpu.empty()) return false;
+
+  if (solve.margin >= 0.0 && lambda >= 0.0) {
+    const double cpus = static_cast<double>(cpu.size());
+    const double slack = 1.0 + solve.margin;
+    if (capped_sum(cpu, cap) + spilled > cpus * cap * slack) return false;
+    double total = spilled;
+    for (const double load : cpu) total += load;
+    if (total / cpus + largest <= cap / slack) return true;
+  }
+
+  LoadTree& tree = solve.cpu_tree;
+  tree.assign(cpu);
+  for (std::size_t i = from; i < count; ++i) {
+    if (p[i] > lambda || q[i] > lambda) continue;
+    if (tree.push(tree.least(), p[i]) > cap) return false;
+  }
+  return true;
+}
+
+/// One guess at `lambda` over a prepared solve. On success, `split` is where
+/// the GPU pass stopped: flexible candidates before it go to the GPUs, the
+/// rest to the CPUs (side_of). Times come from the solve's candidate-order
+/// arrays, so every pass reads them sequentially.
+bool dual_try_into(DualSolve& solve, double lambda, std::size_t& split) {
   assert(!(lambda < solve.floor) && "lambda below the solve's floor");
-  const std::span<const double> cpu_times = solve.times.cpu;
-  const std::span<const double> gpu_times = solve.times.gpu;
-  const std::span<const TaskId> candidates = solve.candidates;
-  result.feasible = false;
-  result.side.assign(candidates.size(), Resource::kCpu);
+  const std::span<const double> p = solve.p;
+  const std::span<const double> q = solve.q;
+  const std::size_t count = p.size();
   const double cap = 2.0 * lambda;
   const bool has_cpu = !solve.cpu_init.empty();
   const bool has_gpu = !solve.gpu_init.empty();
 
   // A task longer than lambda on one resource is forced to the other; one
   // longer on both proves lambda < OPT. Sum the work each side must take.
+  // Only the forcable candidates can be forced; the rest are flexible.
   double forced_gpu = 0.0;
   double forced_cpu = 0.0;
-  double flexible = 0.0;
-  for (const TaskId candidate : candidates) {
-    const auto id = static_cast<std::size_t>(candidate);
-    const double p = cpu_times[id];
-    const double q = gpu_times[id];
-    const bool cpu_over = p > lambda;
-    const bool gpu_over = q > lambda;
-    if (cpu_over && gpu_over) return;  // lambda < OPT
+  double flexible = solve.never_forced_min;
+  bool any_forced = false;
+  for (const std::uint32_t i : solve.forcable) {
+    const bool cpu_over = p[i] > lambda;
+    const bool gpu_over = q[i] > lambda;
+    if (cpu_over && gpu_over) return false;  // lambda < OPT
     if (cpu_over) {
-      if (!has_gpu) return;
-      forced_gpu += q;
+      if (!has_gpu) return false;
+      forced_gpu += q[i];
+      any_forced = true;
     } else if (gpu_over) {
-      if (!has_cpu) return;
-      forced_cpu += p;
+      if (!has_cpu) return false;
+      forced_cpu += p[i];
+      any_forced = true;
     } else {
-      flexible += std::min(p, q);
+      flexible += std::min(p[i], q[i]);
     }
   }
   if (load_bound_exceeded(solve, lambda, forced_gpu, forced_cpu, flexible)) {
-    return;
+    return false;
   }
 
   const std::span<double> cpu = solve.cpu.span();
-  const std::span<double> gpu = solve.gpu.span();
   std::copy(solve.cpu_init.begin(), solve.cpu_init.end(), cpu.begin());
+  if (!any_forced && has_gpu && solve.finite) {
+    // Nothing forced: the GPU pass is a prefix of the trajectory.
+    if (!solve.trajectory_built) build_trajectory(solve);
+    const double* peak = solve.gpu_peak.begin();
+    split = static_cast<std::size_t>(
+        std::upper_bound(peak, peak + count, cap) - peak);
+    return cpu_pass(solve, lambda, split, true);
+  }
+
+  const std::span<double> gpu = solve.gpu.span();
   std::copy(solve.gpu_init.begin(), solve.gpu_init.end(), gpu.begin());
   const auto push_least = [](std::span<double> loads, double dt) {
     double& load = loads[least_loaded(loads)];
@@ -217,113 +421,125 @@ void dual_try_into(DualSolve& solve, double lambda, DualTry& result) {
 
   // Pass 1: forced assignments, by decreasing duration for tighter
   // packing (the presorted subsets, filtered to this lambda).
-  for (const util::KeyId& entry : solve.to_gpu) {
-    const auto id = static_cast<std::size_t>(candidates[entry.id]);
-    if (!(cpu_times[id] > lambda)) continue;
-    if (push_least(gpu, gpu_times[id]) > cap) return;
-    result.side[entry.id] = Resource::kGpu;
-  }
-  for (const util::KeyId& entry : solve.to_cpu) {
-    const auto id = static_cast<std::size_t>(candidates[entry.id]);
-    if (!(gpu_times[id] > lambda)) continue;
-    if (push_least(cpu, cpu_times[id]) > cap) return;
-    result.side[entry.id] = Resource::kCpu;
+  if (any_forced) {
+    for (const util::KeyId& entry : solve.to_gpu) {
+      if (!(p[entry.id] > lambda)) continue;
+      if (push_least(gpu, q[entry.id]) > cap) return false;
+    }
+    for (const util::KeyId& entry : solve.to_cpu) {
+      if (!(q[entry.id] > lambda)) continue;
+      if (push_least(cpu, p[entry.id]) > cap) return false;
+    }
   }
 
   // Pass 2: flexible tasks go to the GPUs by decreasing acceleration factor
   // while the resulting makespan stays within 2*lambda (candidates are
   // pre-sorted by rho).
-  const auto flexible_at = [&](std::size_t id) {
-    return !(cpu_times[id] > lambda) && !(gpu_times[id] > lambda);
-  };
   std::size_t i = 0;
-  for (; i < candidates.size(); ++i) {
-    const auto id = static_cast<std::size_t>(candidates[i]);
-    if (!flexible_at(id)) continue;
+  for (; i < count; ++i) {
+    if (p[i] > lambda || q[i] > lambda) continue;
     if (!has_gpu) break;
     double& load = gpu[least_loaded(gpu)];
-    if (load + gpu_times[id] > cap) break;
-    load += gpu_times[id];
-    result.side[i] = Resource::kGpu;
+    if (load + q[i] > cap) break;
+    load += q[i];
   }
-
-  // Pass 3: everything else to the CPUs.
-  for (; i < candidates.size(); ++i) {
-    const auto id = static_cast<std::size_t>(candidates[i]);
-    if (!flexible_at(id)) continue;
-    if (!has_cpu || push_least(cpu, cpu_times[id]) > cap) return;
-    result.side[i] = Resource::kCpu;
-  }
-  result.feasible = true;
+  split = i;
+  return cpu_pass(solve, lambda, i, false);
 }
 
-}  // namespace
-
-DualTry dual_try(std::span<const Task> tasks,
-                 std::span<const TaskId> candidates, double lambda,
-                 std::span<const double> cpu_loads,
-                 std::span<const double> gpu_loads) {
-  util::Arena& arena = util::scratch_arena();
-  const util::ArenaScope scope(arena);
-  DualSolve solve(arena);
-  solve.prepare(split_times(tasks, arena), candidates, cpu_loads, gpu_loads,
-                lambda, arena);
-  DualTry result;
-  dual_try_into(solve, lambda, result);
-  return result;
+/// The side a feasible guess gives candidate i (CPU time p, GPU time q):
+/// forced ones the resource they are forced to, flexible ones the GPUs
+/// before the GPU pass's stop `split` and the CPUs from it on.
+Resource side_of(double p, double q, double lambda, std::size_t i,
+                 std::size_t split) {
+  if (p > lambda) return Resource::kGpu;
+  if (q > lambda) return Resource::kCpu;
+  return i < split ? Resource::kGpu : Resource::kCpu;
 }
 
-namespace {
+/// The smallest feasible guess the bisection found, and its GPU stop.
+struct DualPick {
+  double lambda = 0.0;
+  std::size_t split = 0;
+};
 
-/// Binary search for the smallest feasible lambda; writes the best feasible
-/// assignment found into `best`. `warm` seeds the upper-bound search.
-/// `solve` and the two DualTry buffers are reused across all attempts.
-/// Every tried lambda is >= lo: hi starts at or above it and only grows,
-/// lo only rises, and mid lies in [lo, hi] — so lo is the solve's floor.
-void search_lambda(const TaskTimes& times, std::span<const TaskId> candidates,
-                   std::span<const double> cpu_loads,
-                   std::span<const double> gpu_loads, double lower_bound,
-                   double warm, int iters, double* best_lambda,
-                   util::Arena& arena, DualSolve& solve, DualTry& best,
-                   DualTry& attempt) {
+/// Binary search for the smallest feasible lambda. `warm` seeds the
+/// upper-bound search. A try records only its verdict and split; the sides
+/// are materialized once, from the pick (side_of). Every tried lambda is
+/// >= lo: hi starts at or above it and only grows, lo only rises, and mid
+/// lies in [lo, hi] — so lo is the solve's floor.
+DualPick search_lambda(DualSolve& solve, std::span<const double> p,
+                       std::span<const double> q,
+                       std::span<const double> cpu_loads,
+                       std::span<const double> gpu_loads, double lower_bound,
+                       double warm, int iters, util::Arena& arena) {
   double lo = std::max(lower_bound, 0.0);
   double hi = std::max({warm, lo, 1e-12});
-  solve.prepare(times, candidates, cpu_loads, gpu_loads, lo, arena);
-  dual_try_into(solve, hi, best);
+  solve.prepare(p, q, cpu_loads, gpu_loads, lo, arena);
+  DualPick best;
+  bool feasible = dual_try_into(solve, hi, best.split);
   int guard = 0;
-  while (!best.feasible && guard++ < 200) {
+  while (!feasible && guard++ < 200) {
     hi *= 1.5;
-    dual_try_into(solve, hi, best);
+    feasible = dual_try_into(solve, hi, best.split);
   }
-  assert(best.feasible && "dual approximation upper bound search failed");
-  double best_l = hi;
+  assert(feasible && "dual approximation upper bound search failed");
+  best.lambda = hi;
   for (int it = 0; it < iters; ++it) {
     const double mid = 0.5 * (lo + hi);
-    dual_try_into(solve, mid, attempt);
-    if (attempt.feasible) {
-      std::swap(best, attempt);
-      best_l = mid;
+    std::size_t split = 0;
+    if (dual_try_into(solve, mid, split)) {
+      best = DualPick{mid, split};
       hi = mid;
     } else {
       lo = mid;
     }
   }
-  if (best_lambda != nullptr) *best_lambda = best_l;
-}
-
-/// Packed non-increasing-accel keys for all tasks: ascending
-/// (descending_key(accel), id) is exactly the old comparator (accel desc,
-/// id asc), so orders stay bitwise identical.
-std::span<const std::uint64_t> accel_keys(const TaskTimes& times,
-                                          util::Arena& arena) {
-  auto* keys = arena.alloc<std::uint64_t>(times.cpu.size());
-  for (std::size_t i = 0; i < times.cpu.size(); ++i) {
-    keys[i] = soa::descending_key(times.cpu[i] / times.gpu[i]);
-  }
-  return {keys, times.cpu.size()};
+  return best;
 }
 
 }  // namespace
+
+std::vector<DualTry> dual_tries(std::span<const Task> tasks,
+                                std::span<const TaskId> candidates,
+                                std::span<const double> lambdas,
+                                std::span<const double> cpu_loads,
+                                std::span<const double> gpu_loads) {
+  std::vector<DualTry> results(lambdas.size());
+  if (lambdas.empty()) return results;
+  util::Arena& arena = util::scratch_arena();
+  const util::ArenaScope scope(arena);
+  const std::size_t count = candidates.size();
+  double* p = arena.alloc<double>(count);
+  double* q = arena.alloc<double>(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Task& t = tasks[static_cast<std::size_t>(candidates[i])];
+    p[i] = t.cpu_time;
+    q[i] = t.gpu_time;
+  }
+  DualSolve solve(arena);
+  solve.prepare({p, count}, {q, count}, cpu_loads, gpu_loads,
+                *std::min_element(lambdas.begin(), lambdas.end()), arena);
+  for (std::size_t k = 0; k < lambdas.size(); ++k) {
+    std::size_t split = 0;
+    results[k].feasible = dual_try_into(solve, lambdas[k], split);
+    if (!results[k].feasible) continue;
+    results[k].side.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      results[k].side[i] = side_of(p[i], q[i], lambdas[k], i, split);
+    }
+  }
+  return results;
+}
+
+DualTry dual_try(std::span<const Task> tasks,
+                 std::span<const TaskId> candidates, double lambda,
+                 std::span<const double> cpu_loads,
+                 std::span<const double> gpu_loads) {
+  return std::move(
+      dual_tries(tasks, candidates, {&lambda, 1}, cpu_loads, gpu_loads)[0]);
+}
+
 }  // namespace detail
 
 Schedule dualhp(std::span<const Task> tasks, const Platform& platform,
@@ -334,84 +550,104 @@ Schedule dualhp(std::span<const Task> tasks, const Platform& platform,
   util::Arena& arena = util::scratch_arena();
   const util::ArenaScope scope(arena);
   const obs::PhaseScope engine_scope(options.metrics, obs::Phase::kEngine);
-  const detail::TaskTimes times = detail::split_times(tasks, arena);
-  const std::span<const std::uint64_t> rho_key =
-      detail::accel_keys(times, arena);
+  const std::size_t count = tasks.size();
+  const bool has_cpu = platform.cpus() > 0;
+  const bool has_gpu = platform.gpus() > 0;
 
-  const std::span<util::KeyId> by_rho{arena.alloc<util::KeyId>(tasks.size()),
-                                      tasks.size()};
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    by_rho[i] = util::KeyId{rho_key[i], static_cast<std::uint32_t>(i)};
-  }
-  util::sort_key_id(by_rho, arena);
-  const std::span<TaskId> candidates{arena.alloc<TaskId>(tasks.size()),
-                                     tasks.size()};
-  for (std::size_t i = 0; i < by_rho.size(); ++i) {
-    candidates[i] = static_cast<TaskId>(by_rho[i].id);
-  }
-
-  const std::span<const double> cpu_loads =
-      arena.alloc_zeroed<double>(static_cast<std::size_t>(platform.cpus()));
-  const std::span<const double> gpu_loads =
-      arena.alloc_zeroed<double>(static_cast<std::size_t>(platform.gpus()));
+  // The one scan order: candidates by (rho desc, id), their times gathered
+  // in that order. It serves the warm-start area bound, every bisection
+  // try and the side materialization.
+  //
   // Feasibility floor: lambda below any task's min time is always rejected
   // (the task exceeds lambda on both resources). The minimal feasible
   // lambda is typically well below OPT — around AreaBound/2 — which is what
   // makes the final 2*lambda schedule competitive; do NOT seed with the
-  // area bound itself.
+  // area bound itself. The warm start is opt_lower_bound's value: the area
+  // bound or the largest per-task floor on this platform.
+  const std::span<const TaskId> candidates = rho_order(tasks, arena);
+  const std::span<double> p{arena.alloc<double>(count), count};
+  const std::span<double> q{arena.alloc<double>(count), count};
   double lb = 0.0;
-  for (const Task& t : tasks) lb = std::max(lb, t.min_time());
-  const double warm = opt_lower_bound(tasks, platform);
-  detail::DualSolve solve(arena);
-  detail::DualTry best, attempt;
+  double task_floor = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < count; ++i) {
+    const Task& t = tasks[static_cast<std::size_t>(candidates[i])];
+    p[i] = t.cpu_time;
+    q[i] = t.gpu_time;
+    lb = std::max(lb, t.min_time());
+    task_floor = std::max(task_floor, has_cpu && has_gpu ? t.min_time()
+                                      : has_cpu          ? t.cpu_time
+                                                         : t.gpu_time);
+  }
+
+  detail::DualPick pick;
   {
+    const util::ArenaScope search_scope(arena);
+    double area = 0.0;
+    if (has_cpu && has_gpu) {
+      const util::ArenaScope area_scope(arena);  // frees the suffix sums
+      area = area_split_in_order(p, q, platform,
+                                 {arena.alloc<double>(count + 1), count + 1})
+                 .bound;
+    } else {
+      area = area_bound_value(tasks, platform);  // id-order sums, no sort
+    }
+    const double warm = std::max(area, task_floor);
+    const std::span<const double> cpu_loads =
+        arena.alloc_zeroed<double>(static_cast<std::size_t>(platform.cpus()));
+    const std::span<const double> gpu_loads =
+        arena.alloc_zeroed<double>(static_cast<std::size_t>(platform.gpus()));
+    detail::DualSolve solve(arena);
     const obs::PhaseScope bisect_scope(options.metrics,
                                        obs::Phase::kDualHpBisection);
-    detail::search_lambda(times, candidates, cpu_loads, gpu_loads, lb, warm,
-                          options.bisection_iters, nullptr, arena, solve,
-                          best, attempt);
+    pick = detail::search_lambda(solve, p, q, cpu_loads, gpu_loads, lb, warm,
+                                 options.bisection_iters, arena);
   }
 
   // Concretize: within each resource type, dispatch tasks by priority (or id
-  // order for fifo) onto the least-loaded worker. Priority desc / id asc is
+  // order for fifo) onto the earliest-free worker. Priority desc / id asc is
   // ascending (descending_key(priority), id) packed; fifo collapses to the
-  // id tie-break alone.
-  util::ArenaVector<util::KeyId> sides[2] = {util::ArenaVector<util::KeyId>(arena),
-                                             util::ArenaVector<util::KeyId>(arena)};
-  sides[0].reserve(tasks.size());
-  sides[1].reserve(tasks.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
+  // id tie-break alone. One array holds both lists: the GPU side fills it
+  // from the front, the CPU side from the back, and each is then sorted.
+  const std::span<util::KeyId> by_side{arena.alloc<util::KeyId>(count),
+                                       count};
+  std::size_t on_gpu = 0;
+  std::size_t on_cpu = 0;
+  for (std::size_t i = 0; i < count; ++i) {
     const auto id = static_cast<std::size_t>(candidates[i]);
-    const std::uint64_t key =
-        options.fifo_order ? 0 : soa::descending_key(tasks[id].priority);
-    sides[static_cast<std::size_t>(best.side[i])].push_back(
-        util::KeyId{key, static_cast<std::uint32_t>(id)});
+    const util::KeyId entry{
+        options.fifo_order ? 0 : soa::descending_key(tasks[id].priority),
+        static_cast<std::uint32_t>(id)};
+    if (detail::side_of(p[i], q[i], pick.lambda, i, pick.split) ==
+        Resource::kGpu) {
+      by_side[on_gpu++] = entry;
+    } else {
+      by_side[count - ++on_cpu] = entry;
+    }
   }
-  util::sort_key_id(sides[0].span(), arena);
-  util::sort_key_id(sides[1].span(), arena);
+  const std::span<util::KeyId> gpu_side = by_side.first(on_gpu);
+  const std::span<util::KeyId> cpu_side = by_side.last(on_cpu);
+  util::sort_key_id(gpu_side, arena);
+  util::sort_key_id(cpu_side, arena);
 
+  // The earliest-free worker of a type is the least-loaded leaf of a
+  // LoadTree over the workers' free times: the (time, worker) pair a
+  // min-heap would pop, since ties go to the lowest worker.
+  detail::LoadTree free_at(arena);
   const auto lay_out = [&](std::span<const util::KeyId> ids, Resource r) {
     if (ids.empty()) return;
-    using Slot = std::pair<double, WorkerId>;
-    std::priority_queue<Slot, std::vector<Slot>, std::greater<>> free_at;
     const WorkerId first = platform.first(r);
-    for (int k = 0; k < platform.count(r); ++k) {
-      free_at.emplace(0.0, first + k);
-    }
-    const std::span<const double> dt_of =
-        r == Resource::kCpu ? times.cpu : times.gpu;
+    free_at.assign(arena.alloc_zeroed<double>(
+        static_cast<std::size_t>(platform.count(r))));
     for (const util::KeyId& entry : ids) {
-      auto [t, w] = free_at.top();
-      free_at.pop();
-      const double dt = dt_of[entry.id];
-      schedule.place(static_cast<TaskId>(entry.id), w, t, t + dt);
-      free_at.emplace(t + dt, w);
+      const std::size_t k = free_at.least();
+      const double dt = Platform::time_on(tasks[entry.id], r);
+      const double t = free_at.load(k);
+      schedule.place(static_cast<TaskId>(entry.id),
+                     first + static_cast<WorkerId>(k), t, free_at.push(k, dt));
     }
   };
-  lay_out(sides[static_cast<std::size_t>(Resource::kCpu)].span(),
-          Resource::kCpu);
-  lay_out(sides[static_cast<std::size_t>(Resource::kGpu)].span(),
-          Resource::kGpu);
+  lay_out(cpu_side, Resource::kCpu);
+  lay_out(gpu_side, Resource::kGpu);
   obs::replay_schedule_to(schedule, platform, options.sink);
   return schedule;
 }
@@ -426,9 +662,13 @@ Schedule dualhp_dag(const TaskGraph& graph, const Platform& platform,
   util::Arena& arena = util::scratch_arena();
   const util::ArenaScope scope(arena);
   const obs::PhaseScope engine_scope(options.metrics, obs::Phase::kEngine);
-  const detail::TaskTimes times = detail::split_times(tasks, arena);
-  const std::span<const std::uint64_t> rho_key =
-      detail::accel_keys(times, arena);
+  // Packed non-increasing-accel keys: ascending (descending_key(accel), id)
+  // is the scan order of rho_order.
+  const std::span<std::uint64_t> rho_key{
+      arena.alloc<std::uint64_t>(tasks.size()), tasks.size()};
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    rho_key[i] = soa::descending_key(tasks[i].accel());
+  }
 
   sim::WorkerPool pool(platform);
   sim::EventQueue<WorkerId> events;
@@ -493,12 +733,12 @@ Schedule dualhp_dag(const TaskGraph& graph, const Platform& platform,
   // the bisection buffers and the per-type dispatch lists live in the arena
   // and are reused across every ready-set change.
   detail::DualSolve solve(arena);
-  detail::DualTry best, attempt;
   const std::span<double> cpu_loads =
       arena.alloc_zeroed<double>(static_cast<std::size_t>(platform.cpus()));
   const std::span<double> gpu_loads =
       arena.alloc_zeroed<double>(static_cast<std::size_t>(platform.gpus()));
-  util::ArenaVector<TaskId> candidates(arena, tasks.size());
+  util::ArenaVector<double> cand_p(arena, tasks.size());
+  util::ArenaVector<double> cand_q(arena, tasks.size());
   util::ArenaVector<util::KeyId> by_type[2] = {
       util::ArenaVector<util::KeyId>(arena, tasks.size()),
       util::ArenaVector<util::KeyId>(arena, tasks.size())};
@@ -528,27 +768,30 @@ Schedule dualhp_dag(const TaskGraph& graph, const Platform& platform,
         }
       }
 
-      // `ready` is already accel-sorted; peel the ids off.
-      candidates.clear();
-      for (const util::KeyId& entry : ready) {
-        candidates.push_back(static_cast<TaskId>(entry.id));
-      }
-
+      // `ready` is already accel-sorted; gather its times in that order.
       double lb = 0.5 * max_residual;
-      for (const TaskId id : candidates) {
-        lb = std::max(lb, tasks[static_cast<std::size_t>(id)].min_time());
+      cand_p.clear();
+      cand_q.clear();
+      for (const util::KeyId& entry : ready) {
+        const Task& t = tasks[entry.id];
+        cand_p.push_back(t.cpu_time);
+        cand_q.push_back(t.gpu_time);
+        lb = std::max(lb, t.min_time());
       }
+      detail::DualPick pick;
       {
         // Sampled per-item phase: the bisection reruns on every ready-set
         // change, which is per-task-granular on wide DAGs.
         const obs::PhaseScope bisect_scope(options.metrics,
                                            obs::Phase::kDualHpBisection);
-        detail::search_lambda(times, candidates.span(), cpu_loads, gpu_loads,
-                              lb, warm_lambda, options.bisection_iters,
-                              &warm_lambda, arena, solve, best, attempt);
+        pick = detail::search_lambda(solve, cand_p.span(), cand_q.span(),
+                                     cpu_loads, gpu_loads, lb, warm_lambda,
+                                     options.bisection_iters, arena);
       }
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        assigned_side[static_cast<std::size_t>(candidates[i])] = best.side[i];
+      warm_lambda = pick.lambda;
+      for (std::size_t i = 0; i < ready.size(); ++i) {
+        assigned_side[ready[i].id] = detail::side_of(
+            cand_p[i], cand_q[i], pick.lambda, i, pick.split);
       }
       ready_changed = false;
     }
@@ -578,10 +821,8 @@ Schedule dualhp_dag(const TaskGraph& graph, const Platform& platform,
       auto& pending = by_type[type];
       if (cursor >= pending.size()) continue;
       const TaskId id = task_of_seq[pending[cursor++].id];
-      const double dt =
-          (platform.type_of(w) == Resource::kCpu ? times.cpu
-                                                 : times.gpu)[
-              static_cast<std::size_t>(id)];
+      const double dt = Platform::time_on(tasks[static_cast<std::size_t>(id)],
+                                          platform.type_of(w));
       events.push(pool.start(w, id, now, dt), w);
       started.push_back(id);
     }

@@ -73,6 +73,14 @@ struct DualTry {
                                std::span<const double> cpu_loads,
                                std::span<const double> gpu_loads);
 
+/// dual_try at every guess of `lambdas`, in order, on one prepared solve
+/// whose floor is the smallest guess: the way the bisection tries them, so
+/// the state it builds once per solve is shared across the guesses.
+[[nodiscard]] std::vector<DualTry> dual_tries(
+    std::span<const Task> tasks, std::span<const TaskId> candidates,
+    std::span<const double> lambdas, std::span<const double> cpu_loads,
+    std::span<const double> gpu_loads);
+
 }  // namespace detail
 
 }  // namespace hp

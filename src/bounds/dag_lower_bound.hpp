@@ -37,7 +37,8 @@ struct DagLowerBound {
 
 struct DagLowerBoundOptions {
   /// Number of threshold candidates per direction for the segmented bound;
-  /// 0 disables it. Cost is O(thresholds * T log T).
+  /// 0 disables it. Cost is O(T log T + thresholds * T): the tasks are sorted
+  /// into the area bound's scan order once, and each threshold walks it.
   int segment_thresholds = 24;
 };
 

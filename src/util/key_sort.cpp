@@ -61,9 +61,12 @@ inline unsigned range_shift(std::uint64_t lo, std::uint64_t hi,
 /// One range-scaled scatter pass into n-scaled buckets, then a tiny
 /// comparison sort per bucket. Stable overall order is irrelevant because
 /// `less` is total (ties resolved by id), so per-bucket sorting suffices.
-template <typename T, typename Less, typename Primary>
-void bucket_sort(std::span<T> items, Arena& arena, Less less,
-                 Primary primary) {
+/// `primary` is the order's leading component and `rest` its later ones, in
+/// order: when every item shares the leading component, the next one
+/// decides the order, so the items are bucketed on that instead.
+template <typename T, typename Less, typename Primary, typename... Rest>
+void bucket_sort(std::span<T> items, Arena& arena, Less less, Primary primary,
+                 Rest... rest) {
   const std::size_t n = items.size();
   std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -72,8 +75,12 @@ void bucket_sort(std::span<T> items, Arena& arena, Less less,
     hi = std::max(hi, k);
   }
   if (lo == hi) {
-    // Degenerate key distribution: one bucket, fall back outright.
-    std::sort(items.begin(), items.end(), less);
+    if constexpr (sizeof...(Rest) > 0) {
+      bucket_sort<T>(items, arena, less, rest...);
+    } else {
+      // Every component equal (repeated ids): nothing left to bucket on.
+      std::sort(items.begin(), items.end(), less);
+    }
     return;
   }
   const std::size_t buckets = std::size_t{1} << bucket_bits_for(n);
@@ -113,8 +120,19 @@ void sort_key_id(std::span<KeyId> items, Arena& arena) {
     std::sort(items.begin(), items.end(), less_key_id);
     return;
   }
-  bucket_sort<KeyId>(items, arena, less_key_id,
-                     [](const KeyId& e) noexcept { return e.key; });
+  bucket_sort<KeyId>(
+      items, arena, less_key_id,
+      [](const KeyId& e) noexcept { return e.key; },
+      [](const KeyId& e) noexcept { return std::uint64_t{e.id}; });
+}
+
+std::size_t sort_key_id_scratch_bytes(std::size_t n) noexcept {
+  if (n < kSmallSort) return 0;
+  // The copy of the items, then the bucket starts and fill cursors, each
+  // aligned.
+  const std::size_t buckets = std::size_t{1} << bucket_bits_for(n);
+  return n * sizeof(KeyId) + (2 * buckets + 1) * sizeof(std::uint32_t) +
+         3 * alignof(KeyId);
 }
 
 void sort_key2_id(std::span<KeyId2> items, Arena& arena) {
@@ -122,8 +140,11 @@ void sort_key2_id(std::span<KeyId2> items, Arena& arena) {
     std::sort(items.begin(), items.end(), less_key2_id);
     return;
   }
-  bucket_sort<KeyId2>(items, arena, less_key2_id,
-                      [](const KeyId2& e) noexcept { return e.k0; });
+  bucket_sort<KeyId2>(
+      items, arena, less_key2_id,
+      [](const KeyId2& e) noexcept { return e.k0; },
+      [](const KeyId2& e) noexcept { return e.k1; },
+      [](const KeyId2& e) noexcept { return std::uint64_t{e.id}; });
 }
 
 }  // namespace hp::util

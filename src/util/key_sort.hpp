@@ -7,9 +7,10 @@
 // by the top 16 key bits into 65536 buckets in one counting pass (stable),
 // then finishes each bucket with a tiny (key, id) sort — for the uniform-ish
 // key distributions the generators produce, buckets average a couple of
-// elements, giving close to linear time. Degenerate distributions (all keys
-// equal) collapse to one bucket and fall back to std::sort, which is the
-// status quo cost. All scratch comes from the arena.
+// elements, giving close to linear time. When every item shares the leading
+// key (uniform priorities, for instance) the next component of the order
+// decides it, so the pass buckets on that instead: k1 and then the id for
+// sort_key2_id, the id for sort_key_id. All scratch comes from the arena.
 
 #include <cstdint>
 #include <span>
@@ -28,6 +29,12 @@ struct KeyId {
 /// Sort ascending by (key, id). O(n) scratch from `arena` (reclaimed before
 /// returning); not in-place internally but the result lands back in `items`.
 void sort_key_id(std::span<KeyId> items, Arena& arena);
+
+/// Most arena bytes sort_key_id takes for `n` items, for a caller that
+/// sizes an arena to hold the sort in one block. It follows the sort's own
+/// allocations; KeySort.ScratchStaysWithinStatedBytes checks that an arena
+/// of this size holds the sort without growing.
+[[nodiscard]] std::size_t sort_key_id_scratch_bytes(std::size_t n) noexcept;
 
 /// Two-level key (the varying-priority ready order): ascending (k0, k1, id).
 struct KeyId2 {

@@ -13,6 +13,7 @@
 #include "dag/ranking.hpp"
 #include "linalg/cholesky.hpp"
 #include "model/generators.hpp"
+#include "naive_dual_try.hpp"
 #include "sched/validate.hpp"
 #include "util/rng.hpp"
 
@@ -157,70 +158,6 @@ TEST(DualTry, LoadSumBoundIsTight) {
       EXPECT_EQ(res.side[i], i < 4 ? Resource::kGpu : Resource::kCpu);
     }
   }
-}
-
-/// The dual-approximation greedy spelled out as in §6, with a fresh sort
-/// of the forced tasks and a least-loaded search per placement: the
-/// reference the engine's presorted, bound-checked try must agree with.
-detail::DualTry naive_dual_try(std::span<const Task> tasks,
-                               std::span<const TaskId> candidates,
-                               double lambda, std::vector<double> cpu,
-                               std::vector<double> gpu) {
-  detail::DualTry r;
-  r.side.assign(candidates.size(), Resource::kCpu);
-  const double cap = 2.0 * lambda;
-  const auto least = [](std::vector<double>& loads) -> double& {
-    return *std::min_element(loads.begin(), loads.end());
-  };
-  std::vector<std::size_t> to_gpu, to_cpu, flexible;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const Task& t = tasks[static_cast<std::size_t>(candidates[i])];
-    if (t.cpu_time > lambda && t.gpu_time > lambda) return r;
-    if (t.cpu_time > lambda) {
-      if (gpu.empty()) return r;
-      to_gpu.push_back(i);
-    } else if (t.gpu_time > lambda) {
-      if (cpu.empty()) return r;
-      to_cpu.push_back(i);
-    } else {
-      flexible.push_back(i);
-    }
-  }
-  const auto time = [&](std::size_t i, Resource side) {
-    const Task& t = tasks[static_cast<std::size_t>(candidates[i])];
-    return side == Resource::kGpu ? t.gpu_time : t.cpu_time;
-  };
-  for (const Resource side : {Resource::kGpu, Resource::kCpu}) {
-    auto& forced = side == Resource::kGpu ? to_gpu : to_cpu;
-    auto& loads = side == Resource::kGpu ? gpu : cpu;
-    std::stable_sort(forced.begin(), forced.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return time(a, side) > time(b, side);
-                     });
-    for (const std::size_t i : forced) {
-      double& load = least(loads);
-      load += time(i, side);
-      if (load > cap) return r;
-      r.side[i] = side;
-    }
-  }
-  std::size_t j = 0;
-  for (; j < flexible.size(); ++j) {
-    const std::size_t i = flexible[j];
-    if (gpu.empty() || least(gpu) + time(i, Resource::kGpu) > cap) break;
-    least(gpu) += time(i, Resource::kGpu);
-    r.side[i] = Resource::kGpu;
-  }
-  for (; j < flexible.size(); ++j) {
-    const std::size_t i = flexible[j];
-    if (cpu.empty()) return r;
-    double& load = least(cpu);
-    load += time(i, Resource::kCpu);
-    if (load > cap) return r;
-    r.side[i] = Resource::kCpu;
-  }
-  r.feasible = true;
-  return r;
 }
 
 TEST(DualTry, MatchesNaiveGreedyOnRandomGuesses) {

@@ -131,5 +131,40 @@ TEST(DualHpRegression, IndependentTasksMatchRecordedChecksums) {
   }
 }
 
+TEST(DualHpRegression, LargeIndependentInstancesMatchRecordedChecksums) {
+  // The sizes and the all-zero default priorities of hpbench's batch-indep
+  // instance, where the bisection's GPU trajectory and load-sum tests
+  // decide most guesses and the per-side sorts see equal keys. Recorded
+  // from the engine before those paths landed. With every priority equal,
+  // the priority order is the id order, so both columns agree.
+  const Platform platforms[] = {Platform(20, 4), Platform(70, 6),
+                                Platform(1, 1)};
+  // [instance: uniform 2e4, uniform 1e5, bimodal 2e4][order: priority, fifo]
+  const std::uint64_t golden[3][2] = {
+      {0x7f61e41ddad2652bull, 0x7f61e41ddad2652bull},
+      {0x0aeb428ec6d7c556ull, 0x0aeb428ec6d7c556ull},
+      {0xd84093d4aa34c7d4ull, 0xd84093d4aa34c7d4ull},
+  };
+  for (int ii = 0; ii < 3; ++ii) {
+    util::Rng rng(0xd0a3u + static_cast<std::uint64_t>(ii));
+    const Instance inst =
+        ii == 2 ? bimodal_instance(20000, 0.3, rng)
+                : uniform_instance({.num_tasks = ii == 0 ? 20000u : 100000u},
+                                   rng);
+    for (int fifo = 0; fifo < 2; ++fifo) {
+      SCOPED_TRACE("instance " + std::to_string(ii) + " fifo " +
+                   std::to_string(fifo));
+      const DualHpOptions options{.fifo_order = fifo == 1};
+      std::uint64_t h = 1469598103934665603ull;
+      for (const Platform& platform : platforms) {
+        const std::uint64_t c =
+            schedule_checksum(dualhp(inst.tasks(), platform, options));
+        h = fnv1a(h, &c, sizeof c);
+      }
+      EXPECT_EQ(h, golden[ii][fifo]) << "actual " << hex(h);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hp

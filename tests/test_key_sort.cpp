@@ -170,5 +170,84 @@ TEST(KeySort, TwoKeySortMatchesLexicographicComparator) {
   }
 }
 
+/// `n` distinct ids 0..n-1 in a seeded random order.
+std::vector<std::uint32_t> shuffled_ids(std::size_t n, util::Rng& rng) {
+  std::vector<std::uint32_t> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<std::uint32_t>(i);
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.bounded(i)]);
+  }
+  return ids;
+}
+
+TEST(KeySort, AllEqualKeysWithShuffledIdsSortById) {
+  // Uniform priorities give every item the same key: the id alone orders
+  // them, at the size of an hpbench batch instance.
+  util::Rng rng(29);
+  const std::vector<std::uint32_t> ids = shuffled_ids(100000, rng);
+  std::vector<util::KeyId> items(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    items[i] = util::KeyId{soa::descending_key(0.0), ids[i]};
+  }
+  expect_sorted_like_comparator(std::move(items));
+}
+
+TEST(KeySort, TwoKeySortWithEqualLeadingKeyOrdersBySecondKey) {
+  // All k0 equal: k1, not the id, is the next component of the order, so
+  // a fallback that buckets on the id would misorder these.
+  util::Rng rng(31);
+  for (const std::size_t n : {96u, 97u, 5000u}) {
+    const std::vector<std::uint32_t> ids = shuffled_ids(n, rng);
+    std::vector<util::KeyId2> items(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      items[i] = util::KeyId2{7, rng() % (n / 3), ids[i]};
+    }
+    std::vector<util::KeyId2> want = items;
+    std::sort(want.begin(), want.end(),
+              [](const util::KeyId2& a, const util::KeyId2& b) {
+                if (a.k0 != b.k0) return a.k0 < b.k0;
+                if (a.k1 != b.k1) return a.k1 < b.k1;
+                return a.id < b.id;
+              });
+    util::Arena& arena = util::scratch_arena();
+    const util::ArenaScope scope(arena);
+    util::sort_key2_id(items, arena);
+    ASSERT_EQ(items.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(items[i].k1, want[i].k1) << "n=" << n << " at " << i;
+      ASSERT_EQ(items[i].id, want[i].id) << "n=" << n << " at " << i;
+    }
+  }
+}
+
+TEST(KeySort, ScratchStaysWithinStatedBytes) {
+  // sort_key_id_scratch_bytes is the arena a caller sets aside for one
+  // sort_key_id: the sort must never take more, and an arena whose first
+  // block has that size must hold it without growing a second one. Covers
+  // the std::sort cutoff, the bucket counts as n grows, and the equal-key
+  // path that buckets on the id.
+  util::Rng rng(37);
+  for (const std::size_t n : {0u, 1u, 95u, 96u, 97u, 1000u, 4097u, 65536u,
+                              100000u}) {
+    for (const bool equal_keys : {false, true}) {
+      std::vector<util::KeyId> items(n);
+      const std::vector<std::uint32_t> ids = shuffled_ids(n, rng);
+      for (std::size_t i = 0; i < n; ++i) {
+        items[i] = util::KeyId{equal_keys ? 5 : rng(), ids[i]};
+      }
+      const std::size_t stated = util::sort_key_id_scratch_bytes(n);
+      util::Arena fresh(1);
+      util::sort_key_id(items, fresh);
+      EXPECT_LE(fresh.high_water_bytes(), stated)
+          << "n=" << n << " equal_keys=" << equal_keys;
+      if (stated == 0) continue;
+      util::Arena sized(stated);
+      util::sort_key_id(items, sized);
+      EXPECT_EQ(sized.reserved_bytes(), stated)
+          << "n=" << n << " equal_keys=" << equal_keys;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hp
