@@ -7,7 +7,7 @@
 // O(n * segments) per worker — quadratic overall and ~150x slower than the
 // HeteroPrio hot path at n = 1e5. The optimized heft()/heft_independent()
 // must produce bitwise-identical schedules; tests/test_heft_regression.cpp
-// enforces that, and src/perf/perf_dag.cpp reports the speedup.
+// enforces that, and BENCH_dag.json reports the speedup.
 
 #include <span>
 

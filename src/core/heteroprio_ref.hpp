@@ -8,7 +8,7 @@
 // O(n log n) with much larger constants (and O(W log W) per idle scan), but
 // trivially auditable against Algorithm 1 of the paper. The optimized engine
 // must produce bitwise-identical schedules; tests/test_hp_regression.cpp
-// enforces that, and src/perf/perf_baseline.cpp reports the speedup.
+// enforces that, and BENCH_core.json reports the speedup.
 
 #include <span>
 

@@ -12,7 +12,7 @@
 // sampling, not random — runs stay reproducible), while coarse per-run
 // phases are always timed. Scaled totals multiply the sampled time back up
 // by calls/sampled, and the per-phase histograms hold the sampled
-// durations. The bench_obs_overhead baseline enforces that the whole
+// durations. The BENCH_obs.json baseline enforces that the whole
 // arrangement costs <= 2% throughput on the reference workloads.
 //
 // Determinism. Timing never influences scheduling decisions, so schedules

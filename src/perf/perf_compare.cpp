@@ -9,65 +9,28 @@
 
 namespace hp::perf {
 
-namespace {
-
-/// Identity of one series entry, or nullopt for malformed entries.
-std::optional<std::string> series_key(const obs::JsonValue& row) {
-  const std::string algo = string_field(row, "algorithm");
-  if (algo.empty()) return std::nullopt;
-  if (const std::string kernel = string_field(row, "kernel"); !kernel.empty()) {
-    const std::optional<double> tiles = number_field(row, "tiles");
-    if (!tiles) return std::nullopt;
-    return kernel + "/" + algo + " N=" + format_number(*tiles);
-  }
-  const std::optional<double> n = number_field(row, "n");
-  if (!n) return std::nullopt;
-  return algo + " n=" + format_number(*n);
-}
-
-}  // namespace
-
-std::vector<SeriesPoint> extract_series(const std::string& json_text) {
+std::vector<SeriesPoint> extract_series(const obs::JsonValue& doc) {
   std::vector<SeriesPoint> out;
-  obs::JsonValue doc;
-  if (!obs::json_parse(json_text, &doc, nullptr)) return out;
-  const obs::JsonArray* series = array_field(doc, "series");
-  if (series == nullptr) return out;
-  for (const obs::JsonValue& row : *series) {
-    const std::optional<std::string> key = series_key(row);
-    if (const std::optional<double> rate = number_field(row, "tasks_per_sec");
-        key && rate && *rate > 0.0) {
-      out.push_back(SeriesPoint{*key, *rate});
-      continue;
-    }
-    // BENCH_obs entries carry two throughputs per workload; surface both
-    // arms so an --against join tracks each trend separately.
-    const std::string workload = string_field(row, "workload");
-    const std::optional<double> n = number_field(row, "n");
-    if (workload.empty() || !n) continue;
-    const std::string suffix = " n=" + format_number(*n);
-    if (const std::optional<double> base =
-            number_field(row, "baseline_tasks_per_sec");
-        base && *base > 0.0) {
-      out.push_back(SeriesPoint{workload + " baseline" + suffix, *base});
-    }
-    if (const std::optional<double> inst =
-            number_field(row, "instrumented_tasks_per_sec");
-        inst && *inst > 0.0) {
-      out.push_back(SeriesPoint{workload + " instrumented" + suffix, *inst});
+  const obs::JsonValue* rows = doc.find("rows");
+  if (rows == nullptr || !rows->is_array()) return out;
+  for (const obs::JsonValue& row : rows->as_array()) {
+    const std::string id = string_field(row, "id");
+    if (const std::optional<double> rate = number_field(row, "per_sec");
+        !id.empty() && rate && *rate > 0.0) {
+      out.push_back(SeriesPoint{id, *rate});
     }
   }
   return out;
 }
 
-PerfComparison compare_series(const std::string& baseline_json,
-                              const std::string& current_json,
+PerfComparison compare_series(const obs::JsonValue& baseline,
+                              const obs::JsonValue& current,
                               double tolerance) {
   PerfComparison cmp;
-  const std::vector<SeriesPoint> before = extract_series(baseline_json);
-  std::vector<SeriesPoint> after = extract_series(current_json);
+  const std::vector<SeriesPoint> before = extract_series(baseline);
+  std::vector<SeriesPoint> after = extract_series(current);
 
-  // Join by key; order in either document is irrelevant.
+  // Join by id; order in either document is irrelevant.
   for (const SeriesPoint& b : before) {
     const auto it =
         std::find_if(after.begin(), after.end(), [&](const SeriesPoint& a) {
@@ -77,7 +40,7 @@ PerfComparison compare_series(const std::string& baseline_json,
       cmp.missing.push_back(b.key);
       continue;
     }
-    const SeriesDelta delta{b.key, b.tasks_per_sec, it->tasks_per_sec};
+    const SeriesDelta delta{b.key, b.per_sec, it->per_sec};
     after.erase(it);
     if (delta.ratio() < 1.0 - tolerance) {
       cmp.regressed.push_back(delta);
@@ -101,9 +64,8 @@ std::string format_comparison(const PerfComparison& cmp) {
   std::ostringstream out;
   char buf[192];
   const auto line = [&](const char* verdict, const SeriesDelta& d) {
-    std::snprintf(buf, sizeof buf,
-                  "%s %s: %.3gM -> %.3gM tasks/s (%+.1f%%)\n", verdict,
-                  d.key.c_str(), d.baseline / 1e6, d.current / 1e6,
+    std::snprintf(buf, sizeof buf, "%s %s: %.4g -> %.4g /s (%+.1f%%)\n",
+                  verdict, d.key.c_str(), d.baseline, d.current,
                   100.0 * (d.ratio() - 1.0));
     out << buf;
   };

@@ -1,36 +1,35 @@
 #pragma once
-// Series-level comparison of two BENCH_*.json documents.
+// Row-level comparison of two BENCH_*.json documents.
 //
-// `hp_sched perf-check --against OLD` answers the question the bare
-// validator cannot: not "is this file well-formed" but "which series got
-// slower, by how much, and which disappeared". Series are joined by
-// identity (algorithm + n for the core document, kernel + algorithm + tiles
-// for the DAG one, workload + arm + n for the observability-overhead one),
-// so reordering the arrays between runs is harmless.
+// `hp_sched perf-check --against OLD` answers the question the validator
+// cannot: not "is this file well-formed" but "which rows got slower, by how
+// much, and which disappeared". Rows are joined by their `id` and compared
+// on their one throughput field, `per_sec`, so reordering the rows between
+// runs is harmless and every document joins the same way.
 
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace hp::perf {
 
-/// One measured series of either BENCH document, keyed by its identity.
+/// One row of a BENCH document: its id and throughput.
 struct SeriesPoint {
-  std::string key;  ///< "HeteroPrio n=100000" or "cholesky/HEFT N=40"
-  double tasks_per_sec = 0.0;
+  std::string key;  ///< the row id, e.g. "HeteroPrio/n=1000"
+  double per_sec = 0.0;
 };
 
-/// Pull every series entry out of a BENCH_core, BENCH_dag or BENCH_obs
-/// document (the entry shape picks the key format). Entries without an
-/// identity or a positive finite throughput are skipped — the validator
-/// reports those — and text that is not strict JSON yields no series.
+/// Every row of a parsed document with an id and a positive finite
+/// `per_sec`. Other rows are skipped; the validator reports them.
 [[nodiscard]] std::vector<SeriesPoint> extract_series(
-    const std::string& json_text);
+    const obs::JsonValue& doc);
 
-/// One joined series with its throughput change.
+/// One joined row with its throughput change.
 struct SeriesDelta {
   std::string key;
-  double baseline = 0.0;  ///< tasks/sec in the old document
-  double current = 0.0;   ///< tasks/sec in the new document
+  double baseline = 0.0;  ///< per_sec in the old document
+  double current = 0.0;   ///< per_sec in the new document
   /// current / baseline: 1.0 unchanged, 0.5 half as fast.
   [[nodiscard]] double ratio() const noexcept {
     return baseline > 0.0 ? current / baseline : 0.0;
@@ -44,21 +43,26 @@ struct PerfComparison {
   std::vector<std::string> missing;    ///< in baseline only — went away
   std::vector<std::string> added;      ///< in current only — new coverage
 
-  /// A comparison passes when nothing regressed and nothing went missing.
+  /// Rows present in both documents.
+  [[nodiscard]] std::size_t joined() const noexcept {
+    return regressed.size() + improved.size() + unchanged.size();
+  }
+  /// A comparison passes when rows joined, none regressed and none went
+  /// missing. An empty join compared nothing, so it does not pass.
   [[nodiscard]] bool ok() const noexcept {
-    return regressed.empty() && missing.empty();
+    return joined() > 0 && regressed.empty() && missing.empty();
   }
 };
 
-/// Join `current_json` against `baseline_json` series-by-series.
-/// `tolerance` is the relative throughput slack (0.25 = a series may lose
-/// up to 25% before it counts as regressed — best-of wall times on shared
-/// machines need real slack).
-[[nodiscard]] PerfComparison compare_series(const std::string& baseline_json,
-                                            const std::string& current_json,
+/// Join `current` against `baseline` row by row. `tolerance` is the
+/// relative throughput slack (0.25 = a row may lose up to 25% before it
+/// counts as regressed — best-of wall times on shared machines need real
+/// slack).
+[[nodiscard]] PerfComparison compare_series(const obs::JsonValue& baseline,
+                                            const obs::JsonValue& current,
                                             double tolerance);
 
-/// Multi-line human rendering: every regression and missing series with its
+/// Multi-line human rendering: every regression and missing row with its
 /// numbers, then a one-line summary.
 [[nodiscard]] std::string format_comparison(const PerfComparison& cmp);
 

@@ -1,25 +1,10 @@
 // Large-DAG smoke: the full pipeline (build -> priorities -> schedule ->
 // validate) must handle an 11k-task Cholesky (N = 40 tiles) with every
-// policy. In optimized builds each scheduler must also stay under a second —
-// the scale guard for the CSR graph, the incremental ready queue and the
-// gap-indexed HEFT; debug and sanitizer builds only check correctness.
+// policy. The under-a-second budget per scheduler is timed separately by
+// `large_dag_timing`, a perf-labeled ctest entry that runs alone.
 
 #include <gtest/gtest.h>
 
-// The wall-clock budget only means something without assertion overhead or
-// sanitizer instrumentation (ASan alone is a several-x slowdown).
-#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__) && \
-    !defined(__SANITIZE_THREAD__)
-#if defined(__has_feature)
-#if !__has_feature(address_sanitizer) && !__has_feature(thread_sanitizer)
-#define HP_TIMED_SMOKE 1
-#endif
-#else
-#define HP_TIMED_SMOKE 1
-#endif
-#endif
-
-#include <chrono>
 #include <string>
 
 #include "baselines/dualhp.hpp"
@@ -41,18 +26,9 @@ TEST(LargeDagSmoke, CholeskyN40AllSchedulers) {
 
   const auto run = [&](const std::string& name, auto&& schedule_fn) {
     SCOPED_TRACE(name);
-    const auto start = std::chrono::steady_clock::now();
     const Schedule schedule = schedule_fn();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
     EXPECT_TRUE(check_schedule(schedule, graph, platform).ok);
     EXPECT_GT(schedule.makespan(), 0.0);
-#ifdef HP_TIMED_SMOKE
-    EXPECT_LT(seconds, 1.0) << name << " took " << seconds << "s";
-#else
-    (void)seconds;
-#endif
   };
 
   run("HeteroPrio", [&] { return heteroprio_dag(graph, platform); });

@@ -13,7 +13,6 @@
 // `trace` and `report` auto-detect which one they got.
 
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -59,12 +58,7 @@
 #include "serve/driver.hpp"
 #include "util/rng.hpp"
 #include "perf/bench_common.hpp"
-#include "perf/perf_baseline.hpp"
 #include "perf/perf_compare.hpp"
-#include "perf/perf_dag.hpp"
-#include "perf/perf_obs.hpp"
-#include "perf/perf_online.hpp"
-#include "perf/perf_serve.hpp"
 #include "sched/critical_path.hpp"
 #include "sched/export.hpp"
 #include "sched/gantt.hpp"
@@ -129,7 +123,7 @@ int usage() {
       "           [--backend hp|hp-nospol|heft|dualhp|mixed] [--rank avg|min|fifo]\n"
       "           [--no-verify]\n"
       "  hp_sched perf-check --in FILE [--quick] [--against OLD]\n"
-      "           [--tolerance X] [--budget X]\n"
+      "           [--tolerance X]\n"
       "  hp_sched fuzz     --seed S --runs N [--scheduler hp,heft,...|all]\n"
       "           [--props validity,ratio,...|all] [--out REPORT]\n"
       "           [--repro-dir DIR] [--max-tasks K] [--max-seconds T]\n"
@@ -922,91 +916,51 @@ int cmd_online(const Args& args) {
   return 0;
 }
 
-/// Validate an emitted BENCH file. The document is parsed as strict JSON
-/// and its schema tag selects the checks from one table; an unknown tag is
-/// an error of its own. Every check names each missing series or broken
-/// invariant, not just the first. `--quick` expects the series of the
-/// benches' `--quick` runs and skips the obs overhead budget. With
-/// `--against OLD`, additionally join the series against a previous BENCH
-/// file and fail if any series regressed beyond `--tolerance` (default
-/// 0.25) or went missing, printing each one with its delta.
+/// Validate an emitted BENCH file: strict JSON, read against the predicate
+/// table its schema tag selects, naming every failing check. `--quick`
+/// expects the rows of `bench_perf --quick` and skips the obs overhead
+/// budget. With `--against OLD`, additionally join the rows by id against a
+/// previous BENCH file and fail if none joined, or if any regressed beyond
+/// `--tolerance` (default 0.25) or went missing, printing each with its
+/// delta.
 int cmd_perf_check(const Args& args) {
-  const auto text = io::load_text_file(args.get("in"));
-  if (!text.has_value()) {
-    std::cerr << "cannot read " << args.get("in") << '\n';
-    return 1;
-  }
-  const bool quick = args.options.count("quick") != 0;
-  using Check = std::function<bool(const std::string&, std::string*)>;
-  const std::map<std::string_view, Check> checks = {
-      {perf::kCoreSchema,
-       [&](const std::string& doc, std::string* error) {
-         const std::vector<std::size_t> sizes =
-             quick ? std::vector<std::size_t>{1000}
-                   : perf::PerfBaselineOptions{}.sizes;
-         return perf::validate_perf_baseline_json(doc, sizes, error);
-       }},
-      {perf::kDagSchema,
-       [&](const std::string& doc, std::string* error) {
-         const perf::PerfDagOptions defaults;
-         const std::vector<int> tiles =
-             quick ? std::vector<int>{4, 8} : defaults.tile_counts;
-         return perf::validate_perf_dag_json(doc, defaults.kernels, tiles,
-                                             error);
-       }},
-      // The obs check also enforces the overhead budget the document
-      // records (or `--budget X`). `--quick` skips the budget: the smoke
-      // file comes from a loaded CI machine where a 2% gate is all noise.
-      {perf::kObsSchema,
-       [&](const std::string& doc, std::string* error) {
-         return perf::validate_perf_obs_json(doc, error) &&
-                (quick || perf::check_obs_budget(
-                              doc, args.get_double("budget", 0.0), error));
-       }},
-      // Online and serve: structural invariants only; throughput
-      // regressions go through `--against` like every baseline.
-      {perf::kOnlineSchema, perf::validate_perf_online_json},
-      {perf::kServeSchema, perf::validate_perf_serve_json},
+  const auto parse = [](const std::string& path, obs::JsonValue* doc) {
+    const auto text = io::load_text_file(path);
+    std::string error = "cannot read file";
+    if (text.has_value() && obs::json_parse(*text, doc, &error)) return true;
+    std::cerr << "invalid baseline " << path << ": " << error << '\n';
+    return false;
   };
-
+  const std::string in = args.get("in");
   obs::JsonValue doc;
-  std::string error;
-  if (!obs::json_parse(*text, &doc, &error)) {
-    std::cerr << "invalid baseline: " << error << '\n';
-    return 1;
+  if (!parse(in, &doc)) return 1;
+  const std::vector<std::string> failures =
+      perf::validate_bench(doc, args.options.count("quick") != 0);
+  for (const std::string& failure : failures) {
+    std::cerr << "invalid baseline " << in << ": " << failure << '\n';
   }
-  const std::string schema = perf::string_field(doc, "schema");
-  const auto check = checks.find(schema);
-  if (check == checks.end()) {
-    std::cerr << "invalid baseline: unknown schema tag '" << schema
-              << "' (known:";
-    for (const auto& [tag, unused] : checks) std::cerr << ' ' << tag;
-    std::cerr << ")\n";
-    return 1;
-  }
-  if (!check->second(*text, &error)) {
-    std::cerr << "invalid baseline: " << error << '\n';
-    return 1;
-  }
+  if (!failures.empty()) return 1;
 
   if (const std::string against = args.get("against"); !against.empty()) {
-    const auto old_text = io::load_text_file(against);
-    if (!old_text.has_value()) {
-      std::cerr << "cannot read " << against << '\n';
-      return 1;
-    }
+    obs::JsonValue old_doc;
+    if (!parse(against, &old_doc)) return 1;
     const double tolerance = args.get_double("tolerance", 0.25);
     const perf::PerfComparison cmp =
-        perf::compare_series(*old_text, *text, tolerance);
+        perf::compare_series(old_doc, doc, tolerance);
     std::cout << perf::format_comparison(cmp);
+    if (cmp.joined() == 0) {
+      std::cerr << "perf-check: no row of " << against << " joins a row of "
+                << in << '\n';
+      return 1;
+    }
     if (!cmp.ok()) {
       std::cerr << "perf-check: " << cmp.regressed.size()
-                << " series regressed beyond " << tolerance * 100.0
+                << " rows regressed beyond " << tolerance * 100.0
                 << "% and " << cmp.missing.size() << " went missing\n";
       return 1;
     }
   }
-  std::cout << args.get("in") << ": ok\n";
+  std::cout << in << ": ok\n";
   return 0;
 }
 
