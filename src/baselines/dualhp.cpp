@@ -77,33 +77,68 @@ class LoadTree {
   std::size_t leaves_ = 1;
 };
 
+/// Index of the least-loaded worker, ties to the lowest index: the worker a
+/// (load, index) min-heap would pop. A linear scan beats the heap at the
+/// platform sizes the paper uses (4 GPUs, 20 CPUs).
+std::size_t least_loaded(std::span<const double> loads) {
+  std::size_t best = 0;
+  for (std::size_t w = 1; w < loads.size(); ++w) {
+    if (loads[w] < loads[best]) best = w;
+  }
+  return best;
+}
+
+/// Add `dt` to the least-loaded worker's load; returns the new load.
+double push_least(std::span<double> loads, double dt) {
+  double& load = loads[least_loaded(loads)];
+  load += dt;
+  return load;
+}
+
 /// One dual-approximation solve: fixed candidates and initial loads, tried
 /// at many lambdas, all at or above `floor`. dual_try runs once per
 /// bisection step and — in the DAG scheduler — the whole bisection reruns
-/// every time a task becomes ready, so everything that does not depend on
-/// lambda is computed once in prepare(), or once per solve on first use.
-/// All storage comes from the run's arena and is reused by the next solve.
+/// every time a task becomes ready, so what does not depend on lambda is
+/// computed once per solve (prepare), and what depends on lambda only
+/// through the forced sets is computed once per interval of lambdas that
+/// force the same candidates: the plan (plan_interval, plan_passes; see
+/// docs/perf.md § "The forced-set plan"). A solve with a negative or
+/// non-finite time or load keeps the interval's verdict and sums but runs
+/// each try's passes with the cap (simulated_passes). All storage comes
+/// from the run's arena and is reused by the next solve.
 struct DualSolve {
-  explicit DualSolve(util::Arena& arena)
-      : forcable(arena),
-        to_gpu(arena),
-        to_cpu(arena),
-        cpu(arena),
-        gpu(arena),
-        gpu_peak(arena),
-        p_suffix(arena),
-        p_suffix_max(arena),
-        cpu_tree(arena) {}
+  explicit DualSolve(util::Arena& scratch)
+      : arena(scratch),
+        forcable(scratch),
+        to_gpu(scratch),
+        to_cpu(scratch),
+        cpu(scratch),
+        gpu(scratch),
+        flex(scratch),
+        flex_p_store(scratch),
+        gpu_peak(scratch),
+        p_suffix(scratch),
+        p_suffix_max(scratch),
+        cpu_tree(scratch) {}
 
   /// Set up a solve whose every tried lambda is >= `floor`. `p`/`q` are the
   /// candidates' CPU and GPU times, sorted by non-increasing acceleration
-  /// factor.
+  /// factor. The forced orders start empty, reserved at their sizes: the
+  /// caller sorts them (sort_forced) or fills them from orders it keeps.
   void prepare(std::span<const double> p_times,
                std::span<const double> q_times,
                std::span<const double> cpu_loads,
-               std::span<const double> gpu_loads, double lambda_floor,
-               util::Arena& arena);
+               std::span<const double> gpu_loads, double lambda_floor);
 
+  /// Fill to_gpu and to_cpu by sorting the forcable candidates.
+  void sort_forced();
+
+  /// lambda lies in the plan's interval.
+  [[nodiscard]] bool covers(double lambda) const {
+    return plan_lo <= lambda && lambda < plan_hi;
+  }
+
+  util::Arena& arena;
   std::span<const double> p;
   std::span<const double> q;
   std::span<const double> cpu_init;
@@ -112,13 +147,13 @@ struct DualSolve {
   /// Slack of the load-sum tests (see load_bound_exceeded), or negative
   /// when they are off for this solve.
   double margin = -1.0;
-  /// margin >= 0 and every time and load finite: the GPU trajectory may
-  /// stand in for the GPU pass (build_trajectory).
+  /// margin >= 0 and every time and load finite: the tries read the plan's
+  /// passes.
   bool finite = false;
   /// Sum of min(p, q) over the candidates no lambda >= floor can force.
   double never_forced_min = 0.0;
   /// Indices of the candidates some lambda >= floor can force (p or q above
-  /// the floor), ascending. The forced-work scan walks only these.
+  /// the floor), ascending. The plan's scan walks only these.
   util::ArenaVector<std::uint32_t> forcable;
   /// The only candidates a lambda >= floor can force to the GPUs (cpu time
   /// above the floor), ascending (descending_key(gpu time), index) — the
@@ -127,15 +162,39 @@ struct DualSolve {
   /// re-sort. `to_cpu` is the mirror image.
   util::ArenaVector<util::KeyId> to_gpu;
   util::ArenaVector<util::KeyId> to_cpu;
-  /// Per-try working loads, refilled from cpu_init/gpu_init.
+  /// The loads the forced passes leave: the plan's, or a simulated try's.
   util::ArenaVector<double> cpu;
   util::ArenaVector<double> gpu;
 
-  /// Built by the first try that forces nothing (build_trajectory):
-  /// gpu_peak[i] is the largest `load + q` among the first i + 1 pushes of
-  /// the GPU greedy run without a cap over every candidate; p_suffix[i] and
-  /// p_suffix_max[i] are the sum and the maximum of p over candidates i..
-  bool trajectory_built = false;
+  /// The plan. Every lambda in [plan_lo, plan_hi) forces the same
+  /// candidates; the interval starts empty.
+  double plan_lo = 0.0;
+  double plan_hi = 0.0;
+  /// Some candidate is over lambda on both sides, or forced to a side
+  /// without workers: every lambda of the interval fails.
+  bool plan_infeasible = false;
+  /// The work the forced and flexible candidates bring, summed in candidate
+  /// order (load_bound_exceeded).
+  double forced_gpu = 0.0;
+  double forced_cpu = 0.0;
+  double flexible = 0.0;
+  std::size_t forced_count = 0;
+  /// The rest is built by the first try that passes the load-sum test
+  /// (plan_passes): the largest load each forced pass reaches without a
+  /// cap, and what it leaves in cpu/gpu.
+  bool passes_built = false;
+  double gpu_forced_peak = 0.0;
+  double cpu_forced_peak = 0.0;
+  /// The flexible candidates' indices, ascending; left empty when nothing
+  /// is forced, where the flexible candidates are all of them.
+  util::ArenaVector<std::uint32_t> flex;
+  /// Their CPU times in that order: `p` itself when nothing is forced, else
+  /// gathered here. A simulated try gathers its spilled candidates here.
+  util::ArenaVector<double> flex_p_store;
+  std::span<const double> flex_p;
+  /// gpu_peak[k] is the largest `load + q` among the first k + 1 pushes of
+  /// the GPU pass 2 without a cap over the flexible candidates; p_suffix[k]
+  /// and p_suffix_max[k] are the sum and the maximum of flex_p[k..].
   util::ArenaVector<double> gpu_peak;
   util::ArenaVector<double> p_suffix;
   util::ArenaVector<double> p_suffix_max;
@@ -147,13 +206,14 @@ void DualSolve::prepare(std::span<const double> p_times,
                         std::span<const double> q_times,
                         std::span<const double> cpu_loads,
                         std::span<const double> gpu_loads,
-                        double lambda_floor, util::Arena& arena) {
+                        double lambda_floor) {
   p = p_times;
   q = q_times;
   cpu_init = cpu_loads;
   gpu_init = gpu_loads;
   floor = lambda_floor;
-  trajectory_built = false;
+  plan_lo = std::numeric_limits<double>::infinity();
+  plan_hi = -std::numeric_limits<double>::infinity();
   cpu.resize(cpu_loads.size());
   gpu.resize(gpu_loads.size());
 
@@ -187,16 +247,10 @@ void DualSolve::prepare(std::span<const double> p_times,
   to_gpu.reserve(gpu_count);
   to_cpu.reserve(cpu_count);
   for (std::size_t i = 0; forcable.size() < forcable_count; ++i) {
-    const bool gpu_side = p[i] > floor;
-    const bool cpu_side = q[i] > floor;
-    if (!gpu_side && !cpu_side) continue;
-    const auto index = static_cast<std::uint32_t>(i);
-    forcable.push_back(index);
-    if (gpu_side) to_gpu.push_back({soa::descending_key(q[i]), index});
-    if (cpu_side) to_cpu.push_back({soa::descending_key(p[i]), index});
+    if (p[i] > floor || q[i] > floor) {
+      forcable.push_back(static_cast<std::uint32_t>(i));
+    }
   }
-  util::sort_key_id(to_gpu.span(), arena);
-  util::sort_key_id(to_cpu.span(), arena);
   for (const double load : cpu_loads) {
     non_negative &= load >= 0.0;
     all_finite &= std::isfinite(load);
@@ -217,15 +271,13 @@ void DualSolve::prepare(std::span<const double> p_times,
   finite = non_negative && all_finite;
 }
 
-/// Index of the least-loaded worker, ties to the lowest index: the worker a
-/// (load, index) min-heap would pop. A linear scan beats the heap at the
-/// platform sizes the paper uses (4 GPUs, 20 CPUs).
-std::size_t least_loaded(std::span<const double> loads) {
-  std::size_t best = 0;
-  for (std::size_t w = 1; w < loads.size(); ++w) {
-    if (loads[w] < loads[best]) best = w;
+void DualSolve::sort_forced() {
+  for (const std::uint32_t i : forcable) {
+    if (p[i] > floor) to_gpu.push_back({soa::descending_key(q[i]), i});
+    if (q[i] > floor) to_cpu.push_back({soa::descending_key(p[i]), i});
   }
-  return best;
+  util::sort_key_id(to_gpu.span(), arena);
+  util::sort_key_id(to_cpu.span(), arena);
 }
 
 /// Sum of min(load, cap): what each worker's starting load can count
@@ -264,44 +316,144 @@ bool load_bound_exceeded(const DualSolve& solve, double lambda,
          gpu_work + cpu_work + flexible > (cpus + gpus) * cap * slack;
 }
 
-/// Record the GPU pass of every lambda that forces nothing, in one run.
+/// Start the plan of the interval around `lambda`: the interval, the static
+/// verdict and the load sums, in one walk over the forcable candidates.
 ///
-/// When no candidate is forced, the GPU pass starts from the initial GPU
-/// loads and offers every candidate in order; it pushes `load + q` onto the
-/// least-loaded GPU until the first push that would exceed cap = 2*lambda.
-/// Up to that push it makes the same moves whatever the cap, so one run
-/// without a cap performs them all and sees the same doubles. gpu_peak[i],
-/// the running maximum of those `load + q` values, is non-decreasing, and
-/// the pass at cap breaks at the first i with gpu_peak[i] > cap: a binary
-/// search. The suffix sums of p feed the CPU-pass tests of cpu_pass.
-void build_trajectory(DualSolve& solve) {
-  const std::size_t count = solve.p.size();
-  const std::span<double> gpu = solve.gpu.span();
-  std::copy(solve.gpu_init.begin(), solve.gpu_init.end(), gpu.begin());
-  solve.gpu_peak.resize(count);
-  double peak = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < count; ++i) {
-    double& load = gpu[least_loaded(gpu)];
-    load += solve.q[i];
-    peak = std::max(peak, load);
-    solve.gpu_peak[i] = peak;
+/// A candidate is forced at lambda when a time of it exceeds lambda. Let
+/// plan_lo be the largest forcable time <= lambda and plan_hi the smallest
+/// one > lambda: no forcable time lies strictly between them, so every
+/// lambda' in [plan_lo, plan_hi) finds each such time on the same side of
+/// it as lambda does. The other candidates stay at or below the floor and
+/// are never forced. So the forced sets, and everything computed from them
+/// here, are the same across the interval.
+void plan_interval(DualSolve& solve, double lambda) {
+  const std::span<const double> p = solve.p;
+  const std::span<const double> q = solve.q;
+  const bool has_cpu = !solve.cpu_init.empty();
+  const bool has_gpu = !solve.gpu_init.empty();
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  double forced_gpu = 0.0;
+  double forced_cpu = 0.0;
+  double flexible = solve.never_forced_min;
+  std::size_t forced = 0;
+  bool infeasible = false;
+  for (const std::uint32_t i : solve.forcable) {
+    const double pi = p[i];
+    const double qi = q[i];
+    const bool cpu_over = pi > lambda;
+    const bool gpu_over = qi > lambda;
+    if (cpu_over) {
+      hi = std::min(hi, pi);
+    } else {
+      lo = std::max(lo, pi);
+    }
+    if (gpu_over) {
+      hi = std::min(hi, qi);
+    } else {
+      lo = std::max(lo, qi);
+    }
+    if (cpu_over && gpu_over) {
+      infeasible = true;  // lambda < OPT
+    } else if (cpu_over) {
+      infeasible |= !has_gpu;
+      forced_gpu += qi;
+      ++forced;
+    } else if (gpu_over) {
+      infeasible |= !has_cpu;
+      forced_cpu += pi;
+      ++forced;
+    } else {
+      flexible += std::min(pi, qi);
+    }
   }
+  solve.plan_lo = lo;
+  solve.plan_hi = hi;
+  solve.plan_infeasible = infeasible;
+  solve.forced_gpu = forced_gpu;
+  solve.forced_cpu = forced_cpu;
+  solve.flexible = flexible;
+  solve.forced_count = forced;
+  solve.passes_built = false;
+}
+
+/// Finish the plan: run the passes of the greedy once without a cap.
+///
+/// Each pass pushes `load + time` onto the least-loaded worker of its side,
+/// and the capped greedy fails or stops at the first push that ends above
+/// cap = 2*lambda. Up to that push it makes the same moves whatever the
+/// cap, so one run without a cap performs them all and sees the same
+/// doubles: a forced pass fails at cap exactly when its largest push
+/// exceeds cap, and the GPU pass 2 stops at the first flexible candidate k
+/// with gpu_peak[k] > cap, a binary search over the non-decreasing running
+/// maximum. The CPU pass starts from the loads the forced CPU pass leaves,
+/// which are the same at every cap it survives.
+void plan_passes(DualSolve& solve, double lambda) {
+  const std::span<const double> p = solve.p;
+  const std::span<const double> q = solve.q;
+  const std::span<double> cpu = solve.cpu.span();
+  const std::span<double> gpu = solve.gpu.span();
+  std::copy(solve.cpu_init.begin(), solve.cpu_init.end(), cpu.begin());
+  std::copy(solve.gpu_init.begin(), solve.gpu_init.end(), gpu.begin());
+  double gpu_forced_peak = -std::numeric_limits<double>::infinity();
+  double cpu_forced_peak = -std::numeric_limits<double>::infinity();
+  double peak = -std::numeric_limits<double>::infinity();
+  solve.flex.clear();
+  solve.gpu_peak.clear();
+  if (solve.forced_count == 0) {
+    solve.flex_p = p;
+    if (!gpu.empty()) {
+      solve.gpu_peak.resize(q.size());
+      for (std::size_t i = 0; i < q.size(); ++i) {
+        peak = std::max(peak, push_least(gpu, q[i]));
+        solve.gpu_peak[i] = peak;
+      }
+    }
+  } else {
+    for (const util::KeyId& entry : solve.to_gpu) {
+      if (!(p[entry.id] > lambda)) continue;
+      gpu_forced_peak =
+          std::max(gpu_forced_peak, push_least(gpu, q[entry.id]));
+    }
+    for (const util::KeyId& entry : solve.to_cpu) {
+      if (!(q[entry.id] > lambda)) continue;
+      cpu_forced_peak =
+          std::max(cpu_forced_peak, push_least(cpu, p[entry.id]));
+    }
+    const std::size_t flexible = p.size() - solve.forced_count;
+    solve.flex.reserve(flexible);
+    solve.flex_p_store.clear();
+    solve.flex_p_store.reserve(flexible);
+    if (!gpu.empty()) solve.gpu_peak.reserve(flexible);
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      if (p[i] > lambda || q[i] > lambda) continue;
+      solve.flex.push_back(static_cast<std::uint32_t>(i));
+      solve.flex_p_store.push_back(p[i]);
+      if (gpu.empty()) continue;
+      peak = std::max(peak, push_least(gpu, q[i]));
+      solve.gpu_peak.push_back(peak);
+    }
+    solve.flex_p = solve.flex_p_store.span();
+  }
+  const std::span<const double> flex_p = solve.flex_p;
+  const std::size_t count = flex_p.size();
   solve.p_suffix.resize(count + 1);
   solve.p_suffix_max.resize(count + 1);
   solve.p_suffix[count] = 0.0;
   solve.p_suffix_max[count] = 0.0;
   for (std::size_t k = count; k-- > 0;) {
-    solve.p_suffix[k] = solve.p_suffix[k + 1] + solve.p[k];
-    solve.p_suffix_max[k] = std::max(solve.p_suffix_max[k + 1], solve.p[k]);
+    solve.p_suffix[k] = solve.p_suffix[k + 1] + flex_p[k];
+    solve.p_suffix_max[k] = std::max(solve.p_suffix_max[k + 1], flex_p[k]);
   }
-  solve.trajectory_built = true;
+  solve.gpu_forced_peak = gpu_forced_peak;
+  solve.cpu_forced_peak = cpu_forced_peak;
+  solve.passes_built = true;
 }
 
-/// Pass 3: the flexible candidates from index `from` on go to the CPUs,
-/// each onto the least-loaded one; false when a push ends above cap. `cpu`
-/// holds the loads the forced passes left. `from_trajectory` says that no
-/// candidate is forced at `lambda` and the trajectory is built, so the
-/// spilled candidates are exactly from..end and their sums are stored.
+/// Pass 3: the spilled candidates, in order, go to the CPUs, each onto the
+/// least-loaded one; false when a push ends above cap. `cpu` holds the
+/// loads the forced passes left; `spilled` and `largest` are the sum and
+/// the maximum of `spill`.
 ///
 /// Two tests settle most tries without pushing. Let c_w be the m CPU loads
 /// on entry, S the spilled work and P its largest task.
@@ -317,30 +469,11 @@ void build_trajectory(DualSolve& solve) {
 /// `margin` covers the rounding of these sums against the greedy's own, as
 /// in load_bound_exceeded, whose preconditions both tests share. The pushes
 /// that remain pick their CPU from cpu_tree.
-bool cpu_pass(DualSolve& solve, double lambda, std::size_t from,
-              bool from_trajectory) {
-  const std::span<const double> p = solve.p;
-  const std::span<const double> q = solve.q;
-  const std::size_t count = p.size();
-  const double cap = 2.0 * lambda;
-  double spilled = 0.0;
-  double largest = 0.0;
-  std::size_t spilled_count = 0;
-  if (from_trajectory) {
-    spilled = solve.p_suffix[from];
-    largest = solve.p_suffix_max[from];
-    spilled_count = count - from;
-  } else {
-    for (std::size_t i = from; i < count; ++i) {
-      if (p[i] > lambda || q[i] > lambda) continue;
-      spilled += p[i];
-      largest = std::max(largest, p[i]);
-      ++spilled_count;
-    }
-  }
-  if (spilled_count == 0) return true;
-  const std::span<double> cpu = solve.cpu.span();
+bool cpu_pass(DualSolve& solve, double lambda, std::span<const double> cpu,
+              std::span<const double> spill, double spilled, double largest) {
+  if (spill.empty()) return true;
   if (cpu.empty()) return false;
+  const double cap = 2.0 * lambda;
 
   if (solve.margin >= 0.0 && lambda >= 0.0) {
     const double cpus = static_cast<double>(cpu.size());
@@ -353,75 +486,29 @@ bool cpu_pass(DualSolve& solve, double lambda, std::size_t from,
 
   LoadTree& tree = solve.cpu_tree;
   tree.assign(cpu);
-  for (std::size_t i = from; i < count; ++i) {
-    if (p[i] > lambda || q[i] > lambda) continue;
-    if (tree.push(tree.least(), p[i]) > cap) return false;
+  for (const double p : spill) {
+    if (tree.push(tree.least(), p) > cap) return false;
   }
   return true;
 }
 
-/// One guess at `lambda` over a prepared solve. On success, `split` is where
-/// the GPU pass stopped: flexible candidates before it go to the GPUs, the
-/// rest to the CPUs (side_of). Times come from the solve's candidate-order
-/// arrays, so every pass reads them sequentially.
-bool dual_try_into(DualSolve& solve, double lambda, std::size_t& split) {
-  assert(!(lambda < solve.floor) && "lambda below the solve's floor");
+/// The greedy's passes at `lambda` for a solve with a negative or
+/// non-finite time or load, where the plan's passes do not stand in for
+/// them: one capped push at a time, as §6 states it. The caller has read
+/// the interval's verdict and sums.
+bool simulated_passes(DualSolve& solve, double lambda, std::size_t& split) {
   const std::span<const double> p = solve.p;
   const std::span<const double> q = solve.q;
   const std::size_t count = p.size();
   const double cap = 2.0 * lambda;
-  const bool has_cpu = !solve.cpu_init.empty();
-  const bool has_gpu = !solve.gpu_init.empty();
-
-  // A task longer than lambda on one resource is forced to the other; one
-  // longer on both proves lambda < OPT. Sum the work each side must take.
-  // Only the forcable candidates can be forced; the rest are flexible.
-  double forced_gpu = 0.0;
-  double forced_cpu = 0.0;
-  double flexible = solve.never_forced_min;
-  bool any_forced = false;
-  for (const std::uint32_t i : solve.forcable) {
-    const bool cpu_over = p[i] > lambda;
-    const bool gpu_over = q[i] > lambda;
-    if (cpu_over && gpu_over) return false;  // lambda < OPT
-    if (cpu_over) {
-      if (!has_gpu) return false;
-      forced_gpu += q[i];
-      any_forced = true;
-    } else if (gpu_over) {
-      if (!has_cpu) return false;
-      forced_cpu += p[i];
-      any_forced = true;
-    } else {
-      flexible += std::min(p[i], q[i]);
-    }
-  }
-  if (load_bound_exceeded(solve, lambda, forced_gpu, forced_cpu, flexible)) {
-    return false;
-  }
-
   const std::span<double> cpu = solve.cpu.span();
-  std::copy(solve.cpu_init.begin(), solve.cpu_init.end(), cpu.begin());
-  if (!any_forced && has_gpu && solve.finite) {
-    // Nothing forced: the GPU pass is a prefix of the trajectory.
-    if (!solve.trajectory_built) build_trajectory(solve);
-    const double* peak = solve.gpu_peak.begin();
-    split = static_cast<std::size_t>(
-        std::upper_bound(peak, peak + count, cap) - peak);
-    return cpu_pass(solve, lambda, split, true);
-  }
-
   const std::span<double> gpu = solve.gpu.span();
+  std::copy(solve.cpu_init.begin(), solve.cpu_init.end(), cpu.begin());
   std::copy(solve.gpu_init.begin(), solve.gpu_init.end(), gpu.begin());
-  const auto push_least = [](std::span<double> loads, double dt) {
-    double& load = loads[least_loaded(loads)];
-    load += dt;
-    return load;
-  };
 
   // Pass 1: forced assignments, by decreasing duration for tighter
   // packing (the presorted subsets, filtered to this lambda).
-  if (any_forced) {
+  if (solve.forced_count > 0) {
     for (const util::KeyId& entry : solve.to_gpu) {
       if (!(p[entry.id] > lambda)) continue;
       if (push_least(gpu, q[entry.id]) > cap) return false;
@@ -438,13 +525,64 @@ bool dual_try_into(DualSolve& solve, double lambda, std::size_t& split) {
   std::size_t i = 0;
   for (; i < count; ++i) {
     if (p[i] > lambda || q[i] > lambda) continue;
-    if (!has_gpu) break;
+    if (gpu.empty()) break;
     double& load = gpu[least_loaded(gpu)];
     if (load + q[i] > cap) break;
     load += q[i];
   }
   split = i;
-  return cpu_pass(solve, lambda, i, false);
+
+  // Pass 3 takes the flexible candidates from the stop on.
+  solve.flex_p_store.clear();
+  double spilled = 0.0;
+  double largest = 0.0;
+  for (; i < count; ++i) {
+    if (p[i] > lambda || q[i] > lambda) continue;
+    solve.flex_p_store.push_back(p[i]);
+    spilled += p[i];
+    largest = std::max(largest, p[i]);
+  }
+  return cpu_pass(solve, lambda, cpu, solve.flex_p_store.span(), spilled,
+                  largest);
+}
+
+/// One guess at `lambda` over a prepared solve. On success, `split` is where
+/// the GPU pass stopped: flexible candidates before it go to the GPUs, the
+/// rest to the CPUs (side_of).
+///
+/// The try reads the plan of lambda's interval, building it when lambda
+/// lies outside the last one: the static verdict, the load-sum test, then,
+/// on a finite solve, `peak > cap` for each forced pass, a binary search
+/// for the GPU stop, which maps back to the candidate index at which the
+/// capped pass 2 would stop, and the CPU pass over the recorded flexible
+/// suffix.
+bool dual_try_into(DualSolve& solve, double lambda, std::size_t& split) {
+  assert(!(lambda < solve.floor) && "lambda below the solve's floor");
+  if (!solve.covers(lambda)) plan_interval(solve, lambda);
+  if (solve.plan_infeasible) return false;
+  if (load_bound_exceeded(solve, lambda, solve.forced_gpu, solve.forced_cpu,
+                          solve.flexible)) {
+    return false;
+  }
+  if (!solve.finite) return simulated_passes(solve, lambda, split);
+  if (!solve.passes_built) plan_passes(solve, lambda);
+  const double cap = 2.0 * lambda;
+  if (solve.gpu_forced_peak > cap || solve.cpu_forced_peak > cap) {
+    return false;
+  }
+  const std::size_t flexible = solve.flex_p.size();
+  std::size_t stop = 0;
+  if (!solve.gpu_init.empty()) {
+    const double* peak = solve.gpu_peak.begin();
+    stop = static_cast<std::size_t>(
+        std::upper_bound(peak, peak + flexible, cap) - peak);
+  }
+  split = stop == flexible        ? solve.p.size()
+          : solve.forced_count == 0 ? stop
+                                    : solve.flex[stop];
+  return cpu_pass(solve, lambda, solve.cpu.span(),
+                  solve.flex_p.subspan(stop), solve.p_suffix[stop],
+                  solve.p_suffix_max[stop]);
 }
 
 /// The side a feasible guess gives candidate i (CPU time p, GPU time q):
@@ -463,19 +601,14 @@ struct DualPick {
   std::size_t split = 0;
 };
 
-/// Binary search for the smallest feasible lambda. `warm` seeds the
-/// upper-bound search. A try records only its verdict and split; the sides
-/// are materialized once, from the pick (side_of). Every tried lambda is
-/// >= lo: hi starts at or above it and only grows, lo only rises, and mid
-/// lies in [lo, hi] — so lo is the solve's floor.
-DualPick search_lambda(DualSolve& solve, std::span<const double> p,
-                       std::span<const double> q,
-                       std::span<const double> cpu_loads,
-                       std::span<const double> gpu_loads, double lower_bound,
-                       double warm, int iters, util::Arena& arena) {
-  double lo = std::max(lower_bound, 0.0);
+/// Binary search for the smallest feasible lambda over a prepared solve.
+/// `warm` seeds the upper-bound search. A try records only its verdict and
+/// split; the sides are materialized once, from the pick (side_of). Every
+/// tried lambda is >= lo: hi starts at or above it and only grows, lo only
+/// rises, and mid lies in [lo, hi] — so lo is the solve's floor.
+DualPick search_lambda(DualSolve& solve, double warm, int iters) {
+  double lo = solve.floor;
   double hi = std::max({warm, lo, 1e-12});
-  solve.prepare(p, q, cpu_loads, gpu_loads, lo, arena);
   DualPick best;
   bool feasible = dual_try_into(solve, hi, best.split);
   int guard = 0;
@@ -496,6 +629,37 @@ DualPick search_lambda(DualSolve& solve, std::span<const double> p,
     }
   }
   return best;
+}
+
+/// Ascending (key, id) and (k0, k1, id): the orders sort_key_id and
+/// sort_key2_id produce.
+bool entry_less(const util::KeyId& a, const util::KeyId& b) {
+  return a.key != b.key ? a.key < b.key : a.id < b.id;
+}
+bool entry_less(const util::KeyId2& a, const util::KeyId2& b) {
+  if (a.k0 != b.k0) return a.k0 < b.k0;
+  return a.k1 != b.k1 ? a.k1 < b.k1 : a.id < b.id;
+}
+
+/// Insert `entry` into the sorted `list` at its binary-searched slot.
+template <typename Entry>
+void insert_sorted(util::ArenaVector<Entry>& list, const Entry& entry) {
+  list.insert(std::lower_bound(list.begin(), list.end(), entry,
+                               [](const Entry& a, const Entry& b) {
+                                 return entry_less(a, b);
+                               }),
+              entry);
+}
+
+/// Erase `entry`, which the sorted `list` holds, found by binary search.
+template <typename Entry>
+void erase_sorted(util::ArenaVector<Entry>& list, const Entry& entry) {
+  Entry* const pos = std::lower_bound(list.begin(), list.end(), entry,
+                                      [](const Entry& a, const Entry& b) {
+                                        return entry_less(a, b);
+                                      });
+  assert(pos != list.end() && pos->id == entry.id);
+  list.erase(pos);
 }
 
 }  // namespace
@@ -519,7 +683,8 @@ std::vector<DualTry> dual_tries(std::span<const Task> tasks,
   }
   DualSolve solve(arena);
   solve.prepare({p, count}, {q, count}, cpu_loads, gpu_loads,
-                *std::min_element(lambdas.begin(), lambdas.end()), arena);
+                *std::min_element(lambdas.begin(), lambdas.end()));
+  solve.sort_forced();
   for (std::size_t k = 0; k < lambdas.size(); ++k) {
     std::size_t split = 0;
     results[k].feasible = dual_try_into(solve, lambdas[k], split);
@@ -599,8 +764,9 @@ Schedule dualhp(std::span<const Task> tasks, const Platform& platform,
     detail::DualSolve solve(arena);
     const obs::PhaseScope bisect_scope(options.metrics,
                                        obs::Phase::kDualHpBisection);
-    pick = detail::search_lambda(solve, p, q, cpu_loads, gpu_loads, lb, warm,
-                                 options.bisection_iters, arena);
+    solve.prepare(p, q, cpu_loads, gpu_loads, std::max(lb, 0.0));
+    solve.sort_forced();
+    pick = detail::search_lambda(solve, warm, options.bisection_iters);
   }
 
   // Concretize: within each resource type, dispatch tasks by priority (or id
@@ -674,48 +840,53 @@ Schedule dualhp_dag(const TaskGraph& graph, const Platform& platform,
   sim::EventQueue<WorkerId> events;
   ReadyTracker tracker(graph);
 
-  // The ready set, kept sorted by (accel desc, id) at all times: releases
-  // binary-search their slot, starts binary-search-and-erase theirs. The
-  // per-ready-change full re-sort of the seed implementation is gone — the
-  // bisection consumes the list as-is.
+  // The ready set in four orders, each kept sorted as tasks are released
+  // and started, by binary-search insert and erase:
+  //  - `ready`: (accel desc, id), the candidate order of the bisection;
+  //  - `by_q`, `by_p`: (gpu time desc, accel desc, id) and (cpu time desc,
+  //    accel desc, id). Filtered per solve, they are DualSolve's forced
+  //    orders, whose index tie-break is the position in `ready`;
+  //  - `by_priority`: (priority desc, ready_seq), or ready_seq alone under
+  //    fifo: the dispatch order.
+  // Each task becomes ready exactly once, so ready_seq is unique.
   util::ArenaVector<util::KeyId> ready(arena, tasks.size());
-  const auto ready_insert = [&](TaskId id) {
-    const util::KeyId entry{rho_key[static_cast<std::size_t>(id)],
-                            static_cast<std::uint32_t>(id)};
-    const auto* pos = std::lower_bound(
-        ready.begin(), ready.end(), entry,
-        [](const util::KeyId& a, const util::KeyId& b) {
-          return a.key != b.key ? a.key < b.key : a.id < b.id;
-        });
-    ready.insert(const_cast<util::KeyId*>(pos), entry);
+  util::ArenaVector<util::KeyId2> by_q(arena);
+  util::ArenaVector<util::KeyId2> by_p(arena);
+  util::ArenaVector<util::KeyId2> by_priority(arena);
+  const std::span<std::uint64_t> ready_seq{
+      arena.alloc<std::uint64_t>(tasks.size()), tasks.size()};
+  std::uint64_t next_seq = 0;
+  const auto ready_entry = [&](std::uint32_t id) {
+    return util::KeyId{rho_key[id], id};
   };
-  const auto ready_erase = [&](TaskId id) {
-    const util::KeyId entry{rho_key[static_cast<std::size_t>(id)],
-                            static_cast<std::uint32_t>(id)};
-    const auto* pos = std::lower_bound(
-        ready.begin(), ready.end(), entry,
-        [](const util::KeyId& a, const util::KeyId& b) {
-          return a.key != b.key ? a.key < b.key : a.id < b.id;
-        });
-    assert(pos != ready.end() && pos->id == entry.id);
-    ready.erase(const_cast<util::KeyId*>(pos));
+  const auto q_entry = [&](std::uint32_t id) {
+    return util::KeyId2{soa::descending_key(tasks[id].gpu_time), rho_key[id],
+                        id};
   };
-
-  // Each task becomes ready exactly once, so sequence numbers stay below
-  // tasks.size() and the inverse map fits a flat array.
-  const std::span<std::int64_t> ready_seq =
-      arena.alloc_zeroed<std::int64_t>(tasks.size());
-  const std::span<TaskId> task_of_seq = arena.alloc_zeroed<TaskId>(tasks.size());
-  std::int64_t next_seq = 0;
-  const auto assign_seq = [&](TaskId id) {
-    ready_seq[static_cast<std::size_t>(id)] = next_seq;
-    task_of_seq[static_cast<std::size_t>(next_seq)] = id;
-    ++next_seq;
+  const auto p_entry = [&](std::uint32_t id) {
+    return util::KeyId2{soa::descending_key(tasks[id].cpu_time), rho_key[id],
+                        id};
   };
-  for (TaskId id : tracker.initially_ready()) {
-    ready_insert(id);
-    assign_seq(id);
-  }
+  const auto priority_entry = [&](std::uint32_t id) {
+    return util::KeyId2{
+        options.fifo_order ? 0 : soa::descending_key(tasks[id].priority),
+        ready_seq[id], id};
+  };
+  const auto make_ready = [&](TaskId task) {
+    const auto id = static_cast<std::uint32_t>(task);
+    ready_seq[id] = next_seq++;
+    detail::insert_sorted(ready, ready_entry(id));
+    detail::insert_sorted(by_q, q_entry(id));
+    detail::insert_sorted(by_p, p_entry(id));
+    detail::insert_sorted(by_priority, priority_entry(id));
+  };
+  const auto unready = [&](std::uint32_t id) {
+    detail::erase_sorted(ready, ready_entry(id));
+    detail::erase_sorted(by_q, q_entry(id));
+    detail::erase_sorted(by_p, p_entry(id));
+    detail::erase_sorted(by_priority, priority_entry(id));
+  };
+  for (TaskId id : tracker.initially_ready()) make_ready(id);
 
   std::size_t completed = 0;
   double now = 0.0;
@@ -730,7 +901,7 @@ Schedule dualhp_dag(const TaskGraph& graph, const Platform& platform,
   bool ready_changed = true;
 
   // Hoisted scratch for the dispatch hot loop: the residual-load vectors,
-  // the bisection buffers and the per-type dispatch lists live in the arena
+  // the bisection buffers and the per-type dispatch picks live in the arena
   // and are reused across every ready-set change.
   detail::DualSolve solve(arena);
   const std::span<double> cpu_loads =
@@ -739,11 +910,13 @@ Schedule dualhp_dag(const TaskGraph& graph, const Platform& platform,
       arena.alloc_zeroed<double>(static_cast<std::size_t>(platform.gpus()));
   util::ArenaVector<double> cand_p(arena, tasks.size());
   util::ArenaVector<double> cand_q(arena, tasks.size());
-  util::ArenaVector<util::KeyId> by_type[2] = {
-      util::ArenaVector<util::KeyId>(arena, tasks.size()),
-      util::ArenaVector<util::KeyId>(arena, tasks.size())};
-  util::ArenaVector<TaskId> started(
-      arena, static_cast<std::size_t>(platform.workers()));
+  const std::span<std::uint32_t> rho_pos{
+      arena.alloc<std::uint32_t>(tasks.size()), tasks.size()};
+  util::ArenaVector<std::uint32_t> picks[2] = {
+      util::ArenaVector<std::uint32_t>(
+          arena, static_cast<std::size_t>(platform.cpus())),
+      util::ArenaVector<std::uint32_t>(
+          arena, static_cast<std::size_t>(platform.gpus()))};
   std::vector<WorkerId> idle;
 
   auto dispatch = [&] {
@@ -774,6 +947,7 @@ Schedule dualhp_dag(const TaskGraph& graph, const Platform& platform,
       cand_q.clear();
       for (const util::KeyId& entry : ready) {
         const Task& t = tasks[entry.id];
+        rho_pos[entry.id] = static_cast<std::uint32_t>(cand_p.size());
         cand_p.push_back(t.cpu_time);
         cand_q.push_back(t.gpu_time);
         lb = std::max(lb, t.min_time());
@@ -784,9 +958,20 @@ Schedule dualhp_dag(const TaskGraph& graph, const Platform& platform,
         // change, which is per-task-granular on wide DAGs.
         const obs::PhaseScope bisect_scope(options.metrics,
                                            obs::Phase::kDualHpBisection);
-        pick = detail::search_lambda(solve, cand_p.span(), cand_q.span(),
-                                     cpu_loads, gpu_loads, lb, warm_lambda,
-                                     options.bisection_iters, arena);
+        solve.prepare(cand_p.span(), cand_q.span(), cpu_loads, gpu_loads,
+                      std::max(lb, 0.0));
+        // The forced orders: by_q and by_p restricted to the candidates
+        // some tried lambda can force, at their positions in `ready`.
+        for (const util::KeyId2& entry : by_q) {
+          const std::uint32_t i = rho_pos[entry.id];
+          if (cand_p[i] > solve.floor) solve.to_gpu.push_back({entry.k0, i});
+        }
+        for (const util::KeyId2& entry : by_p) {
+          const std::uint32_t i = rho_pos[entry.id];
+          if (cand_q[i] > solve.floor) solve.to_cpu.push_back({entry.k0, i});
+        }
+        pick = detail::search_lambda(solve, warm_lambda,
+                                     options.bisection_iters);
       }
       warm_lambda = pick.lambda;
       for (std::size_t i = 0; i < ready.size(); ++i) {
@@ -796,37 +981,32 @@ Schedule dualhp_dag(const TaskGraph& graph, const Platform& platform,
       ready_changed = false;
     }
 
-    // Dispatch per resource type in priority (or ready) order: ascending
-    // (descending_key(priority), ready_seq) packed — bitwise the old
-    // (priority desc, ready_seq asc) comparator; fifo keeps only the
-    // ready_seq tie-break.
-    by_type[0].clear();
-    by_type[1].clear();
-    for (const util::KeyId& entry : ready) {
-      const auto id = static_cast<std::size_t>(entry.id);
-      const std::uint64_t key =
-          options.fifo_order ? 0 : soa::descending_key(tasks[id].priority);
-      by_type[static_cast<std::size_t>(assigned_side[id])].push_back(
-          util::KeyId{key, static_cast<std::uint32_t>(ready_seq[id])});
+    // The k-th idle worker of a type takes the k-th ready task of its side
+    // in priority order; starts follow `idle`, so events keep its order.
+    std::size_t wanted[2] = {0, 0};
+    for (const WorkerId w : idle) {
+      ++wanted[static_cast<std::size_t>(platform.type_of(w))];
     }
-    util::sort_key_id(by_type[0].span(), arena);
-    util::sort_key_id(by_type[1].span(), arena);
-    // The sort key carries ready_seq, not the task id; invert back through
-    // the (still tiny) sequence->task table built on the fly.
-    started.clear();
+    picks[0].clear();
+    picks[1].clear();
+    for (const util::KeyId2& entry : by_priority) {
+      const auto side = static_cast<std::size_t>(assigned_side[entry.id]);
+      if (picks[side].size() < wanted[side]) picks[side].push_back(entry.id);
+      if (picks[0].size() == wanted[0] && picks[1].size() == wanted[1]) break;
+    }
     std::size_t next_of_type[2] = {0, 0};
-    for (WorkerId w : idle) {
-      const auto type = static_cast<std::size_t>(platform.type_of(w));
-      auto& cursor = next_of_type[type];
-      auto& pending = by_type[type];
-      if (cursor >= pending.size()) continue;
-      const TaskId id = task_of_seq[pending[cursor++].id];
-      const double dt = Platform::time_on(tasks[static_cast<std::size_t>(id)],
-                                          platform.type_of(w));
-      events.push(pool.start(w, id, now, dt), w);
-      started.push_back(id);
+    for (const WorkerId w : idle) {
+      const Resource type = platform.type_of(w);
+      const auto t = static_cast<std::size_t>(type);
+      if (next_of_type[t] >= picks[t].size()) continue;
+      const std::uint32_t id = picks[t][next_of_type[t]++];
+      events.push(pool.start(w, static_cast<TaskId>(id), now,
+                             Platform::time_on(tasks[id], type)),
+                  w);
     }
-    for (const TaskId id : started) ready_erase(id);
+    for (const auto& pick : picks) {
+      for (const std::uint32_t id : pick) unready(id);
+    }
   };
 
   dispatch();
@@ -841,8 +1021,7 @@ Schedule dualhp_dag(const TaskGraph& graph, const Platform& platform,
       schedule.place(done.task, w, done.start, done.finish);
       ++completed;
       for (TaskId released : tracker.complete(done.task)) {
-        ready_insert(released);
-        assign_seq(released);
+        make_ready(released);
         ready_changed = true;
       }
     }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace hp::util {
 namespace {
@@ -16,10 +19,19 @@ std::string slurp(const std::string& path) {
   return oss.str();
 }
 
+/// A file name unique to the running test and process: ctest runs each case
+/// as its own process, in parallel, so a fixed name would be shared.
+std::string own_temp_path() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "hp_csv_" + info->test_suite_name() + "_" +
+         info->name() + "_" + std::to_string(::getpid()) + ".csv";
+}
+
 class CsvWriterTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "hp_csv_test.csv";
+  std::string path_ = own_temp_path();
 };
 
 TEST_F(CsvWriterTest, WritesHeaderAndRows) {

@@ -108,6 +108,61 @@ TEST(DualHpRegression, TiledDagsMatchRecordedChecksums) {
   }
 }
 
+TEST(DualHpRegression, NoiseFreeTiledDagsMatchRecordedChecksums) {
+  // The tiled DAGs with their kernel timings as they are: every task of a
+  // kernel has the same CPU time, GPU time and acceleration factor, and
+  // many share a priority. So guesses land exactly on a candidate time, and
+  // the ready orders by GPU time, CPU time and priority see equal keys,
+  // which the noisy graphs above never produce. Recorded from the engine
+  // before the per-interval plans and the kept-sorted ready orders landed.
+  constexpr int kTiles[] = {6, 10, 16};
+  constexpr RankScheme kRanks[] = {RankScheme::kAvg, RankScheme::kMin,
+                                   RankScheme::kFifo};
+  // [kind: cholesky, qr, lu][tiles: 6, 10, 16][rank: avg, min, fifo]
+  const std::uint64_t golden[3][3][3] = {
+      // cholesky
+      {{0xd489de45c41d756aull, 0xddfcb401038aa2b6ull,
+        0x82b151b9a6d545f7ull},
+       {0x1abfeda411acac4eull, 0x02433f325b2355a2ull,
+        0xeb91699e6f4abfb8ull},
+       {0x885b165804575096ull, 0xbfba6f9ee84105ebull,
+        0x07b33e236dc3a2feull}},
+      // qr
+      {{0xb1c3abbecd2fddc5ull, 0x52462dbb95f5889dull,
+        0xf45e563dd18e042eull},
+       {0x60c3841c45c70de5ull, 0x935b54a98754d472ull,
+        0x63663bf074aac075ull},
+       {0x79979fa4abd75ec7ull, 0x4b6d5a53d7c4af34ull,
+        0xe14a29dc02b15145ull}},
+      // lu
+      {{0x62e4b92c368d7cffull, 0x2618fd139074e3b3ull,
+        0x0688b094e1ac408eull},
+       {0x44261298df42147cull, 0x51678e10b0fa5bc9ull,
+        0x24f17ac8be71dbb3ull},
+       {0x62141c191903fe21ull, 0xe3a201866b40d8eeull,
+        0xff75300e6e9c5d7full}},
+  };
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int ti = 0; ti < 3; ++ti) {
+      for (int ri = 0; ri < 3; ++ri) {
+        SCOPED_TRACE("kind " + std::to_string(kind) + " tiles " +
+                     std::to_string(kTiles[ti]) + " rank " +
+                     rank_scheme_name(kRanks[ri]));
+        TaskGraph g = kind == 0   ? cholesky_dag(kTiles[ti])
+                      : kind == 1 ? qr_dag(kTiles[ti])
+                                  : lu_dag(kTiles[ti]);
+        assign_priorities(g, kRanks[ri]);
+        DualHpOptions options;
+        options.fifo_order = kRanks[ri] == RankScheme::kFifo;
+        const std::uint64_t sum = over_platforms([&](const Platform& p) {
+          return dualhp_dag(g, p, options);
+        });
+        EXPECT_EQ(sum, golden[kind][ti][ri]) << "actual " << hex(sum);
+      }
+    }
+  }
+}
+
 TEST(DualHpRegression, IndependentTasksMatchRecordedChecksums) {
   constexpr std::size_t kSizes[] = {30, 2000};
   // [size: 30, 2000][order: priority, fifo]

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <string>
 
 #include "linalg/cholesky.hpp"
 
@@ -143,7 +146,12 @@ TEST(IoDiagnostics, EdgeDiagnosticsNameTheProblem) {
 }
 
 TEST(IoFiles, SaveAndLoad) {
-  const std::string path = ::testing::TempDir() + "hp_io_test.txt";
+  // Named after this test and process: ctest runs each case as its own
+  // process, in parallel, so a fixed name would be shared between them.
+  const std::string path =
+      ::testing::TempDir() + "hp_io_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".txt";
   EXPECT_TRUE(save_text_file(path, "hello\n"));
   const auto loaded = load_text_file(path);
   ASSERT_TRUE(loaded.has_value());
