@@ -3,14 +3,54 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/heft.hpp"
 #include "core/heteroprio_dag.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/lu.hpp"
+#include "linalg/qr.hpp"
 #include "sched/validate.hpp"
+#include "schedule_checksum.hpp"
 
 namespace hp {
 namespace {
+
+/// A link that costs exactly nothing: no latency, and with every payload
+/// zero no bandwidth term either.
+const CommModel kFreeComm{.bandwidth_mb_per_ms = 12.0, .latency_ms = 0.0};
+
+std::vector<double> zero_payloads(const TaskGraph& g) {
+  return std::vector<double>(g.size(), 0.0);
+}
+
+/// Cholesky, QR and LU at 4, 8 and 16 tiles on 4+2, 20+4 and 1+1 workers,
+/// with min and avg ranks (priorities assigned with the same scheme).
+template <typename F>
+void for_each_zero_cost_case(F&& check) {
+  using Builder = TaskGraph (*)(int, const TimingModel&);
+  const std::pair<const char*, Builder> kernels[] = {
+      {"cholesky", &cholesky_dag}, {"qr", &qr_dag}, {"lu", &lu_dag}};
+  const Platform platforms[] = {Platform(4, 2), Platform(20, 4),
+                                Platform(1, 1)};
+  for (const auto& [name, build] : kernels) {
+    for (int tiles : {4, 8, 16}) {
+      for (RankScheme rank : {RankScheme::kMin, RankScheme::kAvg}) {
+        TaskGraph g = build(tiles, TimingModel::chameleon_960());
+        assign_priorities(g, rank);
+        for (const Platform& platform : platforms) {
+          SCOPED_TRACE(std::string(name) + " tiles " + std::to_string(tiles) +
+                       " platform " + std::to_string(platform.cpus()) + "+" +
+                       std::to_string(platform.gpus()) +
+                       (rank == RankScheme::kMin ? " min" : " avg"));
+          check(g, platform, rank);
+        }
+      }
+    }
+  }
+}
 
 TEST(CommModelTest, BoundaryCost) {
   CommModel comm;
@@ -40,16 +80,14 @@ TEST(CommModelTest, UniformPayloads) {
 }
 
 TEST(HeftComm, ZeroCostReducesToPlainHeft) {
-  const TaskGraph g = cholesky_dag(8);
-  const Platform platform(4, 2);
-  CommModel free_comm;
-  free_comm.bandwidth_mb_per_ms = 1e12;
-  free_comm.latency_ms = 0.0;
-  const auto payloads = uniform_payloads(g);
-  const Schedule with_comm = heft_comm(g, platform, free_comm, payloads);
-  const Schedule plain = heft(g, platform);
-  EXPECT_NEAR(with_comm.makespan(), plain.makespan(),
-              1e-9 * plain.makespan());
+  for_each_zero_cost_case([](const TaskGraph& g, const Platform& platform,
+                             RankScheme rank) {
+    const auto payloads = zero_payloads(g);
+    const Schedule with_comm =
+        heft_comm(g, platform, kFreeComm, payloads, {.rank = rank});
+    const Schedule plain = heft(g, platform, {.rank = rank});
+    EXPECT_EQ(schedule_checksum(with_comm), schedule_checksum(plain));
+  });
 }
 
 TEST(HeftComm, TransfersDelaySuccessors) {
@@ -121,17 +159,18 @@ TEST(HeteroPrioComm, PrecedenceAndExclusivityHold) {
 }
 
 TEST(HeteroPrioComm, ZeroCostMatchesPlainHeteroPrio) {
-  TaskGraph g = cholesky_dag(8);
-  assign_priorities(g, RankScheme::kMin);
-  const Platform platform(4, 2);
-  CommModel free_comm;
-  free_comm.bandwidth_mb_per_ms = 1e12;
-  free_comm.latency_ms = 0.0;
-  const auto payloads = uniform_payloads(g);
-  const double with_comm =
-      heteroprio_comm(g, platform, free_comm, payloads).makespan();
-  const double plain = heteroprio_dag(g, platform).makespan();
-  EXPECT_NEAR(with_comm, plain, 1e-6 * plain);
+  for_each_zero_cost_case([](const TaskGraph& g, const Platform& platform,
+                             RankScheme) {
+    const auto payloads = zero_payloads(g);
+    HeteroPrioCommStats comm_stats;
+    HeteroPrioStats plain_stats;
+    const Schedule with_comm =
+        heteroprio_comm(g, platform, kFreeComm, payloads, &comm_stats);
+    const Schedule plain = heteroprio_dag(g, platform, {}, &plain_stats);
+    EXPECT_EQ(schedule_checksum(with_comm), schedule_checksum(plain));
+    EXPECT_EQ(comm_stats.spoliations, plain_stats.spoliations);
+    EXPECT_EQ(comm_stats.transfer_time_total, 0.0);
+  });
 }
 
 TEST(HeteroPrioComm, TransfersAccumulateInStats) {
