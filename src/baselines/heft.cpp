@@ -12,6 +12,7 @@
 #include <set>
 #include <vector>
 
+#include "comm/comm_model.hpp"
 #include "model/task_soa.hpp"
 #include "obs/profile.hpp"
 #include "obs/replay.hpp"
@@ -129,46 +130,6 @@ class WorkerTimeline {
   std::uint64_t nonempty_ = 0;
 };
 
-Schedule heft_run(std::span<const Task> tasks, const TaskGraph* graph,
-                  const Platform& platform, const HeftOptions& options,
-                  std::span<const TaskId> order) {
-  Schedule schedule(tasks.size());
-  std::vector<WorkerTimeline> timeline(
-      static_cast<std::size_t>(platform.workers()));
-
-  for (TaskId id : order) {
-    const obs::PhaseScope gap_scope(options.metrics,
-                                    obs::Phase::kHeftGapSearch);
-    const Task& t = tasks[static_cast<std::size_t>(id)];
-    double ready = 0.0;
-    if (graph != nullptr) {
-      for (TaskId pred : graph->predecessors(id)) {
-        ready = std::max(ready, schedule.placement(pred).end);
-      }
-    }
-    // The duration only depends on the worker's type; hoist both values out
-    // of the worker scan instead of re-deriving them per worker.
-    const double dt_by_type[2] = {t.cpu_time, t.gpu_time};
-    WorkerId best_w = 0;
-    double best_start = 0.0;
-    double best_finish = std::numeric_limits<double>::infinity();
-    for (WorkerId w = 0; w < platform.workers(); ++w) {
-      const double dt =
-          dt_by_type[static_cast<std::size_t>(platform.type_of(w))];
-      const double start = timeline[static_cast<std::size_t>(w)].earliest_start(
-          ready, dt, options.insertion);
-      if (start + dt < best_finish) {
-        best_finish = start + dt;
-        best_start = start;
-        best_w = w;
-      }
-    }
-    timeline[static_cast<std::size_t>(best_w)].insert(best_start, best_finish);
-    schedule.place(id, best_w, best_start, best_finish);
-  }
-  return schedule;
-}
-
 /// Independent-mode inner loop. Every task is ready at 0, so placements only
 /// ever append at a worker's horizon and the gap index can never hold a gap:
 /// the whole timeline state is one finish time per worker, kept in a flat
@@ -214,6 +175,88 @@ Schedule heft_independent_run(std::span<const Task> tasks,
 
 }  // namespace
 
+namespace detail {
+
+std::span<const TaskId> rank_order(const TaskGraph& graph,
+                                   std::span<const double> rank,
+                                   util::Arena& arena) {
+  // With strictly positive weights this is a topological order (a
+  // predecessor's rank strictly exceeds its successors'); rank ties break
+  // topologically, which the packed sort gets for free by carrying the
+  // topological position (not the task id) as the tie-break id. Ascending
+  // (descending_key(rank), topo_pos) is exactly the reference comparator
+  // (rank desc, topo order asc).
+  const std::span<const TaskId> topo = graph.topo_order();
+  const std::span<util::KeyId> keyed{arena.alloc<util::KeyId>(graph.size()),
+                                     graph.size()};
+  const std::span<TaskId> order{arena.alloc<TaskId>(graph.size()),
+                                graph.size()};
+  for (std::size_t i = 0; i < topo.size(); ++i) {
+    keyed[i] = util::KeyId{
+        soa::descending_key(rank[static_cast<std::size_t>(topo[i])]),
+        static_cast<std::uint32_t>(i)};
+  }
+  util::sort_key_id(keyed, arena);
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    order[i] = topo[keyed[i].id];
+  }
+  return order;
+}
+
+Schedule heft_run(std::span<const Task> tasks, const TaskGraph* graph,
+                  const Platform& platform, const HeftOptions& options,
+                  std::span<const TaskId> order, const CommModel* comm,
+                  std::span<const double> payloads) {
+  Schedule schedule(tasks.size());
+  std::vector<WorkerTimeline> timeline(
+      static_cast<std::size_t>(platform.workers()));
+
+  for (TaskId id : order) {
+    const obs::PhaseScope gap_scope(options.metrics,
+                                    obs::Phase::kHeftGapSearch);
+    const Task& t = tasks[static_cast<std::size_t>(id)];
+    double ready = 0.0;
+    if (graph != nullptr && comm == nullptr) {
+      for (TaskId pred : graph->predecessors(id)) {
+        ready = std::max(ready, schedule.placement(pred).end);
+      }
+    }
+    // The duration only depends on the worker's type; hoist both values out
+    // of the worker scan instead of re-deriving them per worker.
+    const double dt_by_type[2] = {t.cpu_time, t.gpu_time};
+    WorkerId best_w = 0;
+    double best_start = 0.0;
+    double best_finish = std::numeric_limits<double>::infinity();
+    for (WorkerId w = 0; w < platform.workers(); ++w) {
+      const double dt =
+          dt_by_type[static_cast<std::size_t>(platform.type_of(w))];
+      if (comm != nullptr) {
+        // Each predecessor's output has to reach `w` first.
+        ready = 0.0;
+        for (TaskId pred : graph->predecessors(id)) {
+          const Placement& pp = schedule.placement(pred);
+          ready = std::max(
+              ready, pp.end + comm->transfer_time(
+                                  platform, pp.worker, w,
+                                  payloads[static_cast<std::size_t>(pred)]));
+        }
+      }
+      const double start = timeline[static_cast<std::size_t>(w)].earliest_start(
+          ready, dt, options.insertion);
+      if (start + dt < best_finish) {
+        best_finish = start + dt;
+        best_start = start;
+        best_w = w;
+      }
+    }
+    timeline[static_cast<std::size_t>(best_w)].insert(best_start, best_finish);
+    schedule.place(id, best_w, best_start, best_finish);
+  }
+  return schedule;
+}
+
+}  // namespace detail
+
 Schedule heft(const TaskGraph& graph, const Platform& platform,
               const HeftOptions& options) {
   assert(graph.finalized());
@@ -224,32 +267,14 @@ Schedule heft(const TaskGraph& graph, const Platform& platform,
     const obs::PhaseScope rank_scope(options.metrics, obs::Phase::kHeftRank);
     return bottom_levels(graph, options.rank);
   }();
-  // Decreasing upward rank. With strictly positive weights this is a
-  // topological order (a predecessor's rank strictly exceeds its
-  // successors'); rank ties break topologically, which the packed sort gets
-  // for free by carrying the topological position (not the task id) as the
-  // tie-break id. Ascending (descending_key(rank), topo_pos) is exactly the
-  // reference comparator (rank desc, topo order asc).
-  const std::span<const TaskId> topo = graph.topo_order();
   util::Arena& arena = util::scratch_arena();
   const util::ArenaScope scope(arena);
-  const std::span<util::KeyId> keyed{arena.alloc<util::KeyId>(graph.size()),
-                                     graph.size()};
-  const std::span<TaskId> order{arena.alloc<TaskId>(graph.size()),
-                                graph.size()};
-  {
+  const std::span<const TaskId> order = [&] {
     const obs::PhaseScope rank_scope(options.metrics, obs::Phase::kHeftRank);
-    for (std::size_t i = 0; i < topo.size(); ++i) {
-      keyed[i] = util::KeyId{
-          soa::descending_key(rank[static_cast<std::size_t>(topo[i])]),
-          static_cast<std::uint32_t>(i)};
-    }
-    util::sort_key_id(keyed, arena);
-    for (std::size_t i = 0; i < keyed.size(); ++i) {
-      order[i] = topo[keyed[i].id];
-    }
-  }
-  Schedule schedule = heft_run(graph.tasks(), &graph, platform, options, order);
+    return detail::rank_order(graph, rank, arena);
+  }();
+  Schedule schedule =
+      detail::heft_run(graph.tasks(), &graph, platform, options, order);
   obs::replay_schedule_to(schedule, platform, options.sink);
   return schedule;
 }

@@ -1,17 +1,20 @@
 #pragma once
 // Internal: the one HeteroPrio event loop behind heteroprio(),
-// heteroprio_dag() and online::online_run*(). Not part of the public API;
-// include core/heteroprio.hpp, core/heteroprio_dag.hpp or online/runtime.hpp
-// instead.
+// heteroprio_dag(), online::online_run*() and heteroprio_comm(). Not part of
+// the public API; include core/heteroprio.hpp, core/heteroprio_dag.hpp,
+// online/runtime.hpp or comm/comm_sched.hpp instead.
 //
 // A batch run is an online run whose tasks all arrive at t=0 with no
 // deadlines, admission control or ticks, so both go through the same loop:
-// batch calls pass no OnlineHooks, online calls add them.
+// batch calls pass no OnlineHooks, online calls add them. A
+// communication-aware run is a batch DAG run whose starts wait for their
+// inputs to move: it passes CommHooks.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 
+#include "comm/comm_model.hpp"
 #include "core/heteroprio.hpp"
 #include "dag/task_graph.hpp"
 
@@ -46,17 +49,32 @@ struct OnlineCounters {
   std::uint8_t final_mode = 0;  ///< online::Mode
 };
 
+/// What a communication-aware run adds to the loop. A task started on
+/// worker w first stages its inputs: each predecessor's payload moves from
+/// the worker that produced it to w, all in parallel, so the delay is the
+/// longest transfer. The delay lengthens the attempt and its believed
+/// finish, and counts in a spoliation's candidate time. Each knob means
+/// what its namesake in comm/comm_sched.hpp documents.
+struct CommHooks {
+  CommModel model;
+  std::span<const double> payloads;  ///< output size (MB) per task id
+  int locality_window = 1;           ///< queue keys an idle worker inspects
+  double* transfer_time_total = nullptr;  ///< if set, the summed delays
+};
+
 /// Run HeteroPrio. When `graph` is null every task of `tasks` is
 /// independent; otherwise `tasks` must be graph->tasks() and readiness
 /// follows the dependencies. Without `online` every task is ready at t=0;
 /// with it, tasks arrive from its plan and the online hooks run, and
-/// `counters` (if set) receives their counts.
+/// `counters` (if set) receives their counts. `comm` needs a graph, and
+/// is meant for batch runs without faults.
 [[nodiscard]] Schedule run_heteroprio(std::span<const Task> tasks,
                                       const TaskGraph* graph,
                                       const Platform& platform,
                                       const HeteroPrioOptions& options,
                                       HeteroPrioStats* stats,
                                       const OnlineHooks* online = nullptr,
-                                      OnlineCounters* counters = nullptr);
+                                      OnlineCounters* counters = nullptr,
+                                      const CommHooks* comm = nullptr);
 
 }  // namespace hp::detail

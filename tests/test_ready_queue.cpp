@@ -130,5 +130,111 @@ TEST(ReadyQueue, BatchesInterleavedWithPopsMatchSingleInserts) {
   }
 }
 
+/// The queue as a plain vector in pop order (GPU end first), for checking
+/// pop_least against a naive scan.
+struct NaiveQueue {
+  const ReadyQueue* keys;
+  std::vector<util::KeyId2> items;
+
+  void insert(TaskId id) {
+    const util::KeyId2 key = keys->key_of(id);
+    items.insert(std::upper_bound(items.begin(), items.end(), key,
+                                  [](const util::KeyId2& a,
+                                     const util::KeyId2& b) {
+                                    if (a.k0 != b.k0) return a.k0 < b.k0;
+                                    if (a.k1 != b.k1) return a.k1 < b.k1;
+                                    return a.id < b.id;
+                                  }),
+                 key);
+  }
+
+  /// Least cost among the `window` keys nearest one end; ties go to the
+  /// key nearer that end.
+  TaskId pop_least(bool gpu_end, std::size_t window,
+                   const std::vector<double>& cost) {
+    const std::size_t n = items.size();
+    std::size_t best = gpu_end ? 0 : n - 1;
+    for (std::size_t k = 0; k < window && k < n; ++k) {
+      const std::size_t at = gpu_end ? k : n - 1 - k;
+      if (cost[items[at].id] < cost[items[best].id]) best = at;
+    }
+    const auto id = static_cast<TaskId>(items[best].id);
+    items.erase(items.begin() + static_cast<std::ptrdiff_t>(best));
+    return id;
+  }
+};
+
+TEST(ReadyQueue, PopLeastMatchesANaiveWindowScan) {
+  util::Arena arena;
+  const std::vector<Task> tasks = tied_tasks(600, 9);
+  const soa::TaskSoA soa = soa::build_task_soa(tasks, arena);
+  util::Rng rng(21);
+  // Costs from four values, so windows hold many equal ones.
+  std::vector<double> cost(tasks.size());
+  for (double& c : cost) c = static_cast<double>(rng.bounded(4));
+  const auto by_cost = [&cost](TaskId id) {
+    return cost[static_cast<std::size_t>(id)];
+  };
+
+  ReadyQueue queue(soa, arena);
+  NaiveQueue naive{&queue, {}};
+  std::vector<util::KeyId2> batch;
+  std::size_t next = 0;
+  const auto add = [&](std::size_t k) {
+    batch.clear();
+    for (; k > 0 && next < tasks.size(); --k, ++next) {
+      const auto id = static_cast<TaskId>(next);
+      batch.push_back(queue.key_of(id));
+      naive.insert(id);
+    }
+    queue.insert_batch(batch, arena);
+  };
+
+  add(40);
+  // A window larger than the whole queue, from each end.
+  EXPECT_EQ(queue.pop_least(true, 1000, by_cost),
+            naive.pop_least(true, 1000, cost));
+  EXPECT_EQ(queue.pop_least(false, 1000, by_cost),
+            naive.pop_least(false, 1000, cost));
+  // All costs equal: the end itself wins at either end.
+  const auto flat = [](TaskId) { return 1.0; };
+  const TaskId gpu_front = queue.gpu_end();
+  EXPECT_EQ(queue.pop_least(true, 8, flat), gpu_front);
+  naive.items.erase(naive.items.begin());
+  const TaskId cpu_back = queue.cpu_end();
+  EXPECT_EQ(queue.pop_least(false, 8, flat), cpu_back);
+  naive.items.pop_back();
+
+  // Random rounds: window pops (interior removals), then plain pops and
+  // single or batched inserts, checked against the naive queue throughout.
+  while (next < tasks.size() || !queue.empty()) {
+    if (next < tasks.size()) {
+      if (rng.bounded(3) == 0) {
+        queue.insert(static_cast<TaskId>(next));
+        naive.insert(static_cast<TaskId>(next));
+        ++next;
+      } else {
+        add(1 + rng.bounded(30));
+      }
+    }
+    for (std::uint64_t j = rng.bounded(12); j > 0 && !queue.empty(); --j) {
+      const bool gpu = rng.bounded(2) == 0;
+      const std::size_t window = 1 + rng.bounded(10);
+      ASSERT_EQ(queue.pop_least(gpu, window, by_cost),
+                naive.pop_least(gpu, window, cost));
+    }
+    for (std::uint64_t j = rng.bounded(4); j > 0 && !queue.empty(); --j) {
+      if (rng.bounded(2) == 0) {
+        ASSERT_EQ(queue.pop_gpu_end(), naive.items.front().id);
+        naive.items.erase(naive.items.begin());
+      } else {
+        ASSERT_EQ(queue.pop_cpu_end(), naive.items.back().id);
+        naive.items.pop_back();
+      }
+    }
+    ASSERT_EQ(queue.size(), naive.items.size());
+  }
+}
+
 }  // namespace
 }  // namespace hp
