@@ -65,6 +65,26 @@ TEST(Arena, ResetReclaimsEverythingWithoutFreeing) {
   EXPECT_EQ(arena.reserved_bytes(), reserved);
 }
 
+TEST(Arena, FullRewindMergesBlocks) {
+  Arena arena(256);
+  {
+    // A small live set in small pieces grows blocks of 256, 512, 1024 and
+    // 2048 bytes.
+    const ArenaScope scope(arena);
+    for (int i = 0; i < 30; ++i) (void)arena.alloc<char>(100);
+  }
+  const std::size_t reserved = arena.reserved_bytes();
+  EXPECT_EQ(reserved, 3840u);
+  // A larger live set with a buffer bigger than any one of those blocks
+  // fits the merged block, in every repetition.
+  for (int round = 0; round < 3; ++round) {
+    const ArenaScope scope(arena);
+    (void)arena.alloc<char>(2800);
+    (void)arena.alloc<char>(900);
+    EXPECT_EQ(arena.reserved_bytes(), reserved) << "round " << round;
+  }
+}
+
 TEST(Arena, HighWaterTracksPeakLiveBytes) {
   Arena arena(1 << 12);
   EXPECT_EQ(arena.high_water_bytes(), 0u);
