@@ -8,7 +8,12 @@
 //   preceded by the transfer of its inputs across the memory boundary
 //   (transfers of distinct inputs overlap: the delay is the max, not the
 //   sum). Spoliation decisions account for the victim's inputs having to
-//   move to the thief.
+//   move to the thief. With a zero-cost CommModel it reduces to
+//   heteroprio_dag().
+//
+// Both are thin wrappers over the shared engines: heteroprio_comm runs the
+// one HeteroPrio event loop (core/hp_engine.hpp) with its comm hooks, and
+// heft_comm runs heft()'s placement loop with a per-worker ready time.
 
 #include <span>
 #include <vector>
