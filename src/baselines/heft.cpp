@@ -1,15 +1,10 @@
 #include "baselines/heft.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <numeric>
-#include <set>
+#include <new>
 #include <vector>
 
 #include "comm/comm_model.hpp"
@@ -23,115 +18,88 @@ namespace hp {
 
 namespace {
 
-/// Free-gap index of one worker's timeline.
+/// One worker's timeline under HEFT's insertion policy: the end of its last
+/// busy block (`last_finish_`) plus the idle gaps before it, kept as one
+/// start-sorted array of disjoint (start, end) pairs in the run's arena.
 ///
-/// The seed implementation (kept as heft_ref) stores busy segments and scans
-/// them per query, which is O(n * segments) per worker and dominated the
-/// whole pipeline at n = 1e5. This class stores the *complement*: the end of
-/// the last busy segment (`last_finish_`, the append fast path — the only
-/// case that ever occurs for independent tasks, whose ready time is 0) plus
-/// the maximal free gaps, indexed twice:
-///
-///  - `gaps_`: start -> end, ordered by start, to find the unique gap
-///    straddling `ready` and the gap a placement lands in;
-///  - `buckets_[b]`: the gaps whose length has binary exponent ~b, each
-///    bucket ordered by start, with a bitmask of non-empty buckets. A fit
-///    query for duration `dt` only probes buckets that can hold a gap of
-///    length >= dt; in every bucket above the boundary bucket the first gap
-///    at/after `ready` fits by construction, so the scan is O(1) there and
-///    only the boundary bucket pays a (short, length-checked) walk.
-///
-/// earliest_start() returns exactly the minimum feasible start >= ready, the
-/// same double the reference's monotone gap walk returns, so schedules stay
-/// bitwise identical (tests/test_heft_regression.cpp).
+/// The seed implementation (kept as heft_ref) stores the busy segments
+/// instead and walks them from the first one ending after `ready`. Its
+/// candidates are `ready` inside the gap that straddles it and, after that,
+/// each later gap's start; a candidate fits when `candidate + dt` does not
+/// pass the gap's end. earliest_start() tests exactly those candidates with
+/// exactly that comparison, so it returns the same double and schedules
+/// stay bitwise identical (tests/test_heft_regression.cpp). Every gap ends
+/// at or before `last_finish_`, so every gap start lies below the append
+/// start and the forward scan needs no cutoff.
 class WorkerTimeline {
  public:
+  explicit WorkerTimeline(util::Arena& arena) : gaps_(arena) {}
+
   /// Earliest start >= ready for a block of length `dt`.
   [[nodiscard]] double earliest_start(double ready, double dt,
                                       bool insertion) const {
     const double append = std::max(ready, last_finish_);
-    if (!insertion || gaps_.empty()) return append;
+    if (!insertion || gaps_.empty() || ready >= gaps_.span().back().end) {
+      return append;
+    }
+    const Gap* it = gaps_.begin() + after(ready);
     // The unique gap with start <= ready < end, if any: its candidate is
     // `ready` itself, which no later gap and no append can beat.
-    auto at = gaps_.upper_bound(ready);
-    if (at != gaps_.begin()) {
-      const auto& [gap_start, gap_end] = *std::prev(at);
-      if (ready < gap_end && ready + dt <= gap_end) return ready;
+    if (it != gaps_.begin() && ready < it[-1].end && ready + dt <= it[-1].end) {
+      return ready;
     }
-    // Gaps starting at/after ready, by length bucket.
-    double best = append;
-    const std::uint64_t candidates =
-        nonempty_ & (~std::uint64_t{0} << bucket_of(dt));
-    for (std::uint64_t mask = candidates; mask != 0; mask &= mask - 1) {
-      const auto& bucket = buckets_[std::countr_zero(mask)];
-      for (auto it = bucket.lower_bound({ready, 0.0}); it != bucket.end();
-           ++it) {
-        if (it->first >= best) break;  // cannot improve on the current best
-        if (it->first + dt <= it->second) {
-          best = it->first;
-          break;
-        }
-      }
+    for (; it != gaps_.end(); ++it) {
+      if (it->start + dt <= it->end) return it->start;
     }
-    return best;
+    return append;
   }
 
   void insert(double start, double end) {
     if (start >= last_finish_) {
       // Append: the idle stretch between the old horizon and the new block
       // becomes a gap.
-      add_gap(last_finish_, start);
+      if (start > last_finish_) gaps_.push_back({last_finish_, start});
       last_finish_ = end;
       return;
     }
     // The block was placed at a feasible start, so it lies inside one
-    // existing gap; split it.
-    assert(!gaps_.empty());
-    auto it = gaps_.upper_bound(start);
-    assert(it != gaps_.begin());
-    --it;
-    const double gap_start = it->first;
-    const double gap_end = it->second;
-    assert(gap_start <= start && end <= gap_end);
-    remove_gap(it);
-    add_gap(gap_start, start);
-    add_gap(end, gap_end);
+    // existing gap; shrink or split it.
+    const std::size_t next = after(start);
+    assert(next != 0);
+    Gap* it = gaps_.begin() + (next - 1);
+    assert(it->start <= start && end <= it->end);
+    const Gap right{end, it->end};
+    if (start > it->start) {
+      it->end = start;
+      if (right.end > right.start) gaps_.insert(it + 1, right);
+    } else if (right.end > right.start) {
+      *it = right;
+    } else {
+      gaps_.erase(it);
+    }
   }
 
  private:
-  using Gap = std::pair<double, double>;  // (start, end), ordered by start
+  struct Gap {
+    double start;
+    double end;
+  };
 
-  /// Length buckets cover binary exponents [-32, 31] of the gap length,
-  /// clamped at both ends; boundary buckets are handled by the per-gap
-  /// length check in earliest_start().
-  static int bucket_of(double length) noexcept {
-    return std::clamp(std::ilogb(length) + 32, 0, 63);
-  }
-
-  void add_gap(double start, double end) {
-    if (!(end > start)) return;
-    gaps_.emplace(start, end);
-    const int b = bucket_of(end - start);
-    buckets_[static_cast<std::size_t>(b)].emplace(start, end);
-    nonempty_ |= std::uint64_t{1} << b;
-  }
-
-  void remove_gap(std::map<double, double>::iterator it) {
-    const int b = bucket_of(it->second - it->first);
-    auto& bucket = buckets_[static_cast<std::size_t>(b)];
-    bucket.erase({it->first, it->second});
-    if (bucket.empty()) nonempty_ &= ~(std::uint64_t{1} << b);
-    gaps_.erase(it);
+  /// Index of the first gap starting after `t`.
+  [[nodiscard]] std::size_t after(double t) const {
+    return static_cast<std::size_t>(
+        std::upper_bound(
+            gaps_.begin(), gaps_.end(), t,
+            [](double value, const Gap& gap) { return value < gap.start; }) -
+        gaps_.begin());
   }
 
   double last_finish_ = 0.0;
-  std::map<double, double> gaps_;
-  std::array<std::set<Gap>, 64> buckets_;
-  std::uint64_t nonempty_ = 0;
+  util::ArenaVector<Gap> gaps_;
 };
 
 /// Independent-mode inner loop. Every task is ready at 0, so placements only
-/// ever append at a worker's horizon and the gap index can never hold a gap:
+/// ever append at a worker's horizon and no worker ever holds a gap:
 /// the whole timeline state is one finish time per worker, kept in a flat
 /// array the worker scan walks contiguously. Start times, worker choice and
 /// tie-breaks are exactly heft_run's (append = max(0, last_finish), first
@@ -145,17 +113,26 @@ Schedule heft_independent_run(std::span<const Task> tasks,
   const util::ArenaScope scope(arena);
   // One scope around the whole placement loop: the per-task body is a flat
   // ~W-lane scan of a few ns, where even a sampled per-task scope entry
-  // would be measurable (the DAG loop above, with its gap-index queries,
-  // affords per-task sampling).
+  // would be measurable (heft_run, with its gap searches, affords per-task
+  // sampling).
   const obs::PhaseScope gap_scope(options.metrics,
                                   obs::Phase::kHeftGapSearch);
   const auto wcount = static_cast<std::size_t>(platform.workers());
   const std::span<double> finish = arena.alloc_zeroed<double>(wcount);
   const auto cpus = static_cast<std::size_t>(platform.cpus());
 
-  for (const util::KeyId& entry : order) {
-    const auto id = static_cast<TaskId>(entry.id);
-    const Task& t = tasks[entry.id];
+  // The order visits tasks at random ids, so the loop waits on the misses
+  // of each task and of its placement slot; prefetching a fixed distance
+  // ahead overlaps them, as simulate_independent's gather does.
+  constexpr std::size_t kAhead = 16;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (k + kAhead < order.size()) {
+      const std::uint32_t ahead = order[k + kAhead].id;
+      __builtin_prefetch(&tasks[ahead]);
+      __builtin_prefetch(&schedule.placement(static_cast<TaskId>(ahead)), 1);
+    }
+    const auto id = static_cast<TaskId>(order[k].id);
+    const Task& t = tasks[order[k].id];
     const double dt_by_type[2] = {t.cpu_time, t.gpu_time};
     std::size_t best_w = 0;
     double best_finish = std::numeric_limits<double>::infinity();
@@ -208,8 +185,13 @@ Schedule heft_run(std::span<const Task> tasks, const TaskGraph* graph,
                   std::span<const TaskId> order, const CommModel* comm,
                   std::span<const double> payloads) {
   Schedule schedule(tasks.size());
-  std::vector<WorkerTimeline> timeline(
-      static_cast<std::size_t>(platform.workers()));
+  util::Arena& arena = util::scratch_arena();
+  const util::ArenaScope scope(arena);
+  const auto wcount = static_cast<std::size_t>(platform.workers());
+  WorkerTimeline* const timeline = arena.alloc<WorkerTimeline>(wcount);
+  for (std::size_t w = 0; w < wcount; ++w) {
+    new (&timeline[w]) WorkerTimeline(arena);
+  }
 
   for (TaskId id : order) {
     const obs::PhaseScope gap_scope(options.metrics,

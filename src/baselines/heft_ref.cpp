@@ -1,6 +1,6 @@
 // Verbatim seed implementation of HEFT (see heft_ref.hpp). Do not optimize:
-// its value is being the trivially auditable oracle the gap-indexed engine
-// is regression-tested against.
+// its value is being the trivially auditable oracle the flat-gap engine of
+// baselines/heft.cpp is regression-tested against.
 
 #include "baselines/heft_ref.hpp"
 

@@ -1,7 +1,7 @@
 // Wall-clock budget of the large-DAG pipeline: each scheduler must build its
 // schedule for an 11k-task Cholesky (N = 40 tiles) in under a second, the
-// scale guard for the CSR graph, the incremental ready queue and the
-// gap-indexed HEFT. A timing only means something in an optimized build on
+// scale guard for the CSR graph, the incremental ready queue and HEFT's
+// flat gap arrays. A timing only means something in an optimized build on
 // a quiet machine, so this is its own perf-labeled ctest entry that runs
 // alone (RUN_SERIAL); LargeDagSmoke checks the same schedules for validity.
 //
