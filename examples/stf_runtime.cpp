@@ -62,14 +62,13 @@ int main(int argc, char** argv) {
   std::cout << "Tiled Cholesky N=" << tiles << " through the STF runtime on "
             << "(20 CPU, 4 GPU), duration noise sigma=" << sigma << "\n\n";
 
-  util::Table table({"policy", "makespan (ms)", "ratio to LB", "spoliations"},
+  util::Table table({"scheduler", "makespan (ms)", "ratio to LB", "spoliations"},
                     3);
   double lb = 0.0;
-  for (SchedulerPolicy policy :
-       {SchedulerPolicy::kHeteroPrio, SchedulerPolicy::kHeft,
-        SchedulerPolicy::kDualHp}) {
+  for (const SchedulerId scheduler :
+       {SchedulerId::kHp, SchedulerId::kHeft, SchedulerId::kDualHp}) {
     RuntimeOptions options;
-    options.policy = policy;
+    options.scheduler = scheduler;
     options.rank = RankScheme::kMin;
     options.noise_sigma = sigma;
     options.noise_seed = 42;
@@ -91,7 +90,7 @@ int main(int argc, char** argv) {
                 << ", dependencies: " << rt.graph().num_edges()
                 << ", lower bound: " << util::format_double(lb, 1) << " ms\n\n";
     }
-    table.row().cell(policy_name(policy)).cell(makespan).cell(makespan / lb)
+    table.row().cell(scheduler_name(scheduler)).cell(makespan).cell(makespan / lb)
         .cell(static_cast<long long>(rt.stats().spoliations));
   }
   table.print(std::cout);

@@ -675,12 +675,11 @@ Schedule run_heteroprio(std::span<const Task> tasks, const TaskGraph* graph,
     }
   };
 
-  // An online run ends once every task is completed, rejected, abandoned or
-  // blocked behind one. A batch run ends once every task completed, or when
-  // nothing is left to happen: after an abandonment it keeps draining the
-  // heap, and its recovery counters see every later crash and window.
+  // A run ends once every task is completed, rejected, abandoned or blocked
+  // behind one, or when nothing is left to happen; a crash or window after
+  // that instant is not counted. Only online runs reject tasks, and only
+  // online DAG runs mark the descendants of an abandoned task as blocked.
   auto unsettled = [&] {
-    if (online == nullptr) return completed < n;
     return completed + oc.tasks_rejected +
                static_cast<std::size_t>(
                    local_stats.recovery.tasks_abandoned) +

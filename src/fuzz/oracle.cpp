@@ -5,19 +5,16 @@
 #include <cstring>
 #include <sstream>
 
-#include "baselines/dualhp.hpp"
 #include "baselines/heft.hpp"
 #include "baselines/heft_ref.hpp"
 #include "bounds/area_bound.hpp"
 #include "bounds/dag_lower_bound.hpp"
 #include "bounds/exact_opt.hpp"
-#include "core/heteroprio.hpp"
-#include "core/heteroprio_dag.hpp"
 #include "core/heteroprio_ref.hpp"
-#include "fault/replay.hpp"
 #include "obs/recorder.hpp"
 #include "obs/watchdog.hpp"
 #include "online/runtime.hpp"
+#include "runtime/dispatch.hpp"
 #include "sched/validate.hpp"
 #include "serve/service.hpp"
 #include "util/rng.hpp"
@@ -47,34 +44,23 @@ struct RunOutput {
   obs::EventRecorder events;
 };
 
-HeteroPrioOptions hp_options(const FuzzCase& c, SchedulerId sched,
-                             obs::EventSink* sink) {
-  HeteroPrioOptions o;
-  o.enable_spoliation = sched == SchedulerId::kHp;
-  o.sink = sink;
-  if (c.has_faults()) o.faults = &c.faults;
-  return o;
-}
-
-RankScheme heft_rank(const FuzzCase& c) {
-  return c.rank == RankScheme::kFifo ? RankScheme::kAvg : c.rank;
-}
-
-serve::Backend serve_backend(SchedulerId sched) {
-  switch (sched) {
-    case SchedulerId::kHp: return serve::Backend::kHp;
-    case SchedulerId::kHpNoSpol: return serve::Backend::kHpNoSpol;
-    case SchedulerId::kHeft: return serve::Backend::kHeft;
-    case SchedulerId::kDualHp: return serve::Backend::kDualHp;
-  }
-  return serve::Backend::kHp;
+/// The run every property judges: the shared dispatch, as the service runs
+/// it, with the fault plan passed only when it is non-empty.
+void run_case(const FuzzCase& c, SchedulerId sched, RunOutput* out) {
+  RunResult run = run_scheduler(
+      sched, c.graph, c.platform,
+      {.rank = c.rank,
+       .faults = c.has_faults() ? &c.faults : nullptr,
+       .sink = &out->events});
+  out->schedule = std::move(run.schedule);
+  out->recovery = run.stats.recovery;
 }
 
 serve::Request serve_request(const FuzzCase& c, SchedulerId sched,
                              int tenant) {
   serve::Request request;
   request.tenant = tenant;
-  request.backend = serve_backend(sched);
+  request.backend = sched;
   request.graph = c.graph;
   request.rank = c.rank;
   request.platform = c.platform;
@@ -82,98 +68,11 @@ serve::Request serve_request(const FuzzCase& c, SchedulerId sched,
   return request;
 }
 
-void run_scheduler(const FuzzCase& c, SchedulerId sched, RunOutput* out) {
-  const bool faulty = c.has_faults();
-  obs::EventSink* sink = &out->events;
-  switch (sched) {
-    case SchedulerId::kHp:
-    case SchedulerId::kHpNoSpol: {
-      const HeteroPrioOptions o = hp_options(c, sched, sink);
-      HeteroPrioStats stats;
-      out->schedule = c.is_dag()
-                          ? heteroprio_dag(c.graph, c.platform, o, &stats)
-                          : heteroprio(c.graph.tasks(), c.platform, o, &stats);
-      out->recovery = stats.recovery;
-      break;
-    }
-    case SchedulerId::kHeft: {
-      const HeftOptions o{.rank = heft_rank(c), .insertion = true,
-                          .sink = faulty ? nullptr : sink};
-      const Schedule plan =
-          c.is_dag() ? heft(c.graph, c.platform, o)
-                     : heft_independent(c.graph.tasks(), c.platform, o);
-      if (!faulty) {
-        out->schedule = plan;
-      } else {
-        auto replay = fault::execute_plan_with_faults(plan, c.graph,
-                                                      c.platform, c.faults,
-                                                      {}, sink);
-        out->schedule = std::move(replay.schedule);
-        out->recovery = replay.recovery;
-      }
-      break;
-    }
-    case SchedulerId::kDualHp: {
-      const DualHpOptions o{.fifo_order = c.rank == RankScheme::kFifo,
-                            .bisection_iters = 16,
-                            .sink = faulty ? nullptr : sink};
-      const Schedule plan = c.is_dag()
-                                ? dualhp_dag(c.graph, c.platform, o)
-                                : dualhp(c.graph.tasks(), c.platform, o);
-      if (!faulty) {
-        out->schedule = plan;
-      } else {
-        auto replay = fault::execute_plan_with_faults(plan, c.graph,
-                                                      c.platform, c.faults,
-                                                      {}, sink);
-        out->schedule = std::move(replay.schedule);
-        out->recovery = replay.recovery;
-      }
-      break;
-    }
-  }
-}
-
 std::string fmt(double value) {
   std::ostringstream oss;
   oss.precision(17);
   oss << value;
   return oss.str();
-}
-
-/// Bitwise schedule comparison; fills `why` with the first difference.
-bool same_schedule(const Schedule& a, const Schedule& b, std::string* why) {
-  if (a.num_tasks() != b.num_tasks()) {
-    *why = "task counts differ";
-    return false;
-  }
-  for (std::size_t i = 0; i < a.num_tasks(); ++i) {
-    const Placement& pa = a.placements()[i];
-    const Placement& pb = b.placements()[i];
-    if (pa.worker != pb.worker || pa.start != pb.start || pa.end != pb.end) {
-      *why = "task " + std::to_string(i) + ": (" +
-             std::to_string(pa.worker) + ", " + fmt(pa.start) + ", " +
-             fmt(pa.end) + ") vs (" + std::to_string(pb.worker) + ", " +
-             fmt(pb.start) + ", " + fmt(pb.end) + ")";
-      return false;
-    }
-  }
-  if (a.aborted().size() != b.aborted().size()) {
-    *why = "aborted-segment counts differ: " +
-           std::to_string(a.aborted().size()) + " vs " +
-           std::to_string(b.aborted().size());
-    return false;
-  }
-  for (std::size_t i = 0; i < a.aborted().size(); ++i) {
-    const AbortedSegment& sa = a.aborted()[i];
-    const AbortedSegment& sb = b.aborted()[i];
-    if (sa.task != sb.task || sa.worker != sb.worker ||
-        sa.start != sb.start || sa.abort_time != sb.abort_time) {
-      *why = "aborted segment " + std::to_string(i) + " differs";
-      return false;
-    }
-  }
-  return true;
 }
 
 /// Copy of `c` with every duration (and priority — bottom levels scale with
@@ -245,7 +144,7 @@ bool keys_distinct(const FuzzCase& c, SchedulerId sched) {
       return all_distinct(std::move(keys));
     case SchedulerId::kHeft:
       for (const Task& t : tasks) {
-        keys.push_back(rank_weight(t, heft_rank(c)));
+        keys.push_back(rank_weight(t, heft_rank(c.rank)));
       }
       return all_distinct(std::move(keys));
     case SchedulerId::kDualHp: {
@@ -261,27 +160,6 @@ bool keys_distinct(const FuzzCase& c, SchedulerId sched) {
 }
 
 }  // namespace
-
-const char* scheduler_name(SchedulerId id) noexcept {
-  switch (id) {
-    case SchedulerId::kHp: return "hp";
-    case SchedulerId::kHpNoSpol: return "hp-nospol";
-    case SchedulerId::kHeft: return "heft";
-    case SchedulerId::kDualHp: return "dualhp";
-  }
-  return "?";
-}
-
-bool scheduler_from_name(const std::string& name, SchedulerId* out) noexcept {
-  for (int i = 0; i < kNumSchedulers; ++i) {
-    const auto id = static_cast<SchedulerId>(i);
-    if (name == scheduler_name(id)) {
-      *out = id;
-      return true;
-    }
-  }
-  return false;
-}
 
 const char* property_name(unsigned bit) noexcept {
   for (const PropEntry& p : kProps) {
@@ -328,12 +206,6 @@ std::string props_to_string(unsigned props) {
   return out;
 }
 
-bool scheduler_applicable(const FuzzCase& c, SchedulerId sched) {
-  (void)c;
-  (void)sched;
-  return true;  // every scheduler handles every case (faults via replay)
-}
-
 OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
                          const OracleOptions& options) {
   OracleVerdict verdict;
@@ -343,7 +215,7 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
   };
 
   RunOutput run;
-  run_scheduler(c, sched, &run);
+  run_case(c, sched, &run);
   const bool faulty = c.has_faults();
   const bool engine = sched == SchedulerId::kHp ||
                       sched == SchedulerId::kHpNoSpol;
@@ -413,24 +285,24 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
     // ignore HeteroPrioOptions::faults.
     if (engine && !faulty) {
       ++verdict.properties_checked;
-      const HeteroPrioOptions o = hp_options(c, sched, nullptr);
+      HeteroPrioOptions o;
+      o.enable_spoliation = spoliates(sched);
       const Schedule ref =
           c.is_dag()
               ? heteroprio_dag_reference(c.graph, c.platform, o)
               : heteroprio_reference(tasks, c.platform, o);
       std::string why;
-      if (!same_schedule(run.schedule, ref, &why)) {
+      if (!identical_schedules(run.schedule, ref, &why)) {
         fail("ref-diff", "diverges from heteroprio_reference: " + why);
       }
     } else if (sched == SchedulerId::kHeft && !faulty) {
       ++verdict.properties_checked;
-      const HeftOptions o{.rank = heft_rank(c), .insertion = true,
-                          .sink = nullptr};
+      const HeftOptions o{.rank = heft_rank(c.rank)};
       const Schedule ref = c.is_dag()
                                ? heft_ref(c.graph, c.platform, o)
                                : heft_independent_ref(tasks, c.platform, o);
       std::string why;
-      if (!same_schedule(run.schedule, ref, &why)) {
+      if (!identical_schedules(run.schedule, ref, &why)) {
         fail("ref-diff", "diverges from heft_ref: " + why);
       }
     }
@@ -439,7 +311,7 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
   if ((options.props & kPropScale) && !faulty && !tasks.empty()) {
     ++verdict.properties_checked;
     RunOutput scaled;
-    run_scheduler(scaled_case(c, 2.0), sched, &scaled);
+    run_case(scaled_case(c, 2.0), sched, &scaled);
     if (scaled.schedule.makespan() != 2.0 * makespan) {
       fail("scale", "doubling durations gives makespan " +
                         fmt(scaled.schedule.makespan()) + ", expected " +
@@ -451,7 +323,7 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
       tasks.size() >= 2 && keys_distinct(c, sched)) {
     ++verdict.properties_checked;
     RunOutput reversed;
-    run_scheduler(reversed_case(c), sched, &reversed);
+    run_case(reversed_case(c), sched, &reversed);
     // DualHP's lambda bisection sums areas in task order, so its makespan
     // is only permutation-invariant up to FP rounding; the list schedulers
     // must match bitwise.
@@ -484,7 +356,7 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
       spare.faults = fault::FaultPlan{};
       spare.faults.add_crash(static_cast<WorkerId>(c.platform.workers()), 0.0);
       RunOutput with_spare;
-      run_scheduler(spare, sched, &with_spare);
+      run_case(spare, sched, &with_spare);
       if (with_spare.schedule.makespan() != makespan) {
         fail("spare-crash",
              "a spare worker crashed at t=0 changes the makespan: " +
@@ -552,7 +424,7 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
     // runtime is bitwise-identical to the batch engine — the PR's anchor.
     ++verdict.properties_checked;
     online::OnlineOptions oo;
-    oo.enable_spoliation = sched == SchedulerId::kHp;
+    oo.enable_spoliation = spoliates(sched);
     if (faulty) oo.faults = &c.faults;
     online::OnlineStats origin_stats;
     const Schedule origin =
@@ -560,7 +432,7 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
             ? online::online_run_dag(c.graph, c.platform, oo, &origin_stats)
             : online::online_run(tasks, c.platform, oo, &origin_stats);
     std::string why;
-    if (!same_schedule(run.schedule, origin, &why)) {
+    if (!identical_schedules(run.schedule, origin, &why)) {
       fail("online", "all-at-t=0 online run diverges from batch: " + why);
     }
     if (faulty && !(origin_stats.recovery == run.recovery)) {
@@ -640,7 +512,7 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
         return;
       }
       std::string why;
-      if (!same_schedule(run.schedule, r.schedule, &why)) {
+      if (!identical_schedules(run.schedule, r.schedule, &why)) {
         fail("serve", std::string(leg) +
                           ": service schedule diverges from the direct "
                           "engine run: " + why);

@@ -1,12 +1,13 @@
 #pragma once
 // Property oracle — the checking side of the fuzzing subsystem.
 //
-// Given a FuzzCase and a scheduler, check_case() runs the scheduler and
-// evaluates every applicable property from the catalogue below. A property
-// silently skips when its preconditions do not hold (e.g. the proven-ratio
-// theorems only cover fault-free independent-task HeteroPrio runs); a
-// failure carries the property name and a human-readable detail line, and
-// is what the shrinker minimizes against.
+// Given a FuzzCase and a scheduler, check_case() runs the scheduler through
+// run_scheduler() (runtime/dispatch.hpp) and evaluates every applicable
+// property from the catalogue below. A property silently skips when its
+// preconditions do not hold (e.g. the proven-ratio theorems only cover
+// fault-free independent-task HeteroPrio runs); a failure carries the
+// property name and a human-readable detail line, and is what the shrinker
+// minimizes against.
 //
 // Catalogue (docs/testing.md has the full rationale):
 //   validity      check_schedule passes (relaxed options under faults)
@@ -36,26 +37,21 @@
 //   serve         cases carrying serve_workers >= 2: the same case routed
 //                 through the multi-tenant service (1 tenant / 1 worker,
 //                 then several submissions over serve_workers workers)
-//                 returns schedules bitwise-identical to the direct engine
-//                 call, and under seed-randomized defer/reject admission
-//                 watermarks the zero-silent-drop accounting identity holds
-//                 (every submission answered, completed + rejected ==
-//                 submitted, deferred requests never lost)
+//                 returns schedules bitwise-identical to the direct
+//                 run_scheduler() call, and under seed-randomized
+//                 defer/reject admission watermarks the zero-silent-drop
+//                 accounting identity holds (every submission answered,
+//                 completed + rejected == submitted, deferred requests
+//                 never lost)
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "fuzz/generator.hpp"
+#include "runtime/dispatch.hpp"
 
 namespace hp::fuzz {
-
-enum class SchedulerId : std::uint8_t { kHp, kHpNoSpol, kHeft, kDualHp };
-inline constexpr int kNumSchedulers = 4;
-
-[[nodiscard]] const char* scheduler_name(SchedulerId id) noexcept;
-[[nodiscard]] bool scheduler_from_name(const std::string& name,
-                                       SchedulerId* out) noexcept;
 
 /// Property bitmask.
 enum PropertyBits : unsigned {
@@ -106,10 +102,6 @@ struct OracleOptions {
   int exact_max_workers = 4;
   double tol = 1e-9;
 };
-
-/// True when `sched` can run `c` at all (DualHP and HEFT replay static plans
-/// under faults; every scheduler handles every fault-free case).
-[[nodiscard]] bool scheduler_applicable(const FuzzCase& c, SchedulerId sched);
 
 /// Run `sched` on `c` and evaluate the selected properties.
 [[nodiscard]] OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,

@@ -67,7 +67,6 @@ FuzzReport run_fuzz(const RunnerOptions& options) {
                       options.knobs);
     ++report.cases_run;
     for (const SchedulerId sched : schedulers) {
-      if (!scheduler_applicable(c, sched)) continue;
       const OracleVerdict verdict = check_case(c, sched, options.oracle);
       report.properties_checked += verdict.properties_checked;
       fnv_mix(&report.checksum, static_cast<std::uint64_t>(i));

@@ -3,23 +3,9 @@
 #include <cassert>
 #include <utility>
 
-#include "baselines/dualhp.hpp"
-#include "baselines/heft.hpp"
 #include "bounds/dag_lower_bound.hpp"
-#include "core/heteroprio_dag.hpp"
-#include "fault/replay.hpp"
-#include "obs/replay.hpp"
 
 namespace hp::runtime {
-
-const char* policy_name(SchedulerPolicy policy) noexcept {
-  switch (policy) {
-    case SchedulerPolicy::kHeteroPrio: return "HeteroPrio";
-    case SchedulerPolicy::kHeft: return "HEFT";
-    case SchedulerPolicy::kDualHp: return "DualHP";
-  }
-  return "?";
-}
 
 StfRuntime::StfRuntime(Platform platform, RuntimeOptions options)
     : platform_(platform), options_(options) {}
@@ -82,44 +68,13 @@ double StfRuntime::run() {
 
   const fault::FaultPlan* faults = options_.faults;
   const bool faulty = faults != nullptr && !faults->empty();
-
-  // Run a static plan under the actual durations through the failover
-  // replay (an empty plan injects nothing). Without faults the sink gets
-  // the realized schedule replayed as a full ready/start/complete stream.
-  const fault::FaultPlan no_faults;
-  auto run_static_plan = [&](const Schedule& plan) {
-    fault::FaultyReplayResult replayed = fault::execute_plan_with_faults(
-        plan, graph_, platform_, faulty ? *faults : no_faults, actuals_,
-        faulty ? options_.sink : nullptr);
-    schedule_ = std::move(replayed.schedule);
-    stats_.recovery = replayed.recovery;
-    if (!faulty) obs::replay_schedule_to(schedule_, platform_, options_.sink);
-  };
-
-  stats_ = HeteroPrioStats{};
-  switch (options_.policy) {
-    case SchedulerPolicy::kHeteroPrio: {
-      HeteroPrioOptions hp_options;
-      hp_options.actual_times = actuals_;
-      hp_options.sink = options_.sink;
-      hp_options.faults = options_.faults;
-      schedule_ = heteroprio_dag(graph_, platform_, hp_options, &stats_);
-      break;
-    }
-    case SchedulerPolicy::kHeft: {
-      HeftOptions heft_options;
-      heft_options.rank =
-          options_.rank == RankScheme::kFifo ? RankScheme::kAvg : options_.rank;
-      run_static_plan(heft(graph_, platform_, heft_options));
-      break;
-    }
-    case SchedulerPolicy::kDualHp: {
-      DualHpOptions dual_options;
-      dual_options.fifo_order = options_.rank == RankScheme::kFifo;
-      run_static_plan(dualhp_dag(graph_, platform_, dual_options));
-      break;
-    }
-  }
+  RunResult run = run_scheduler(options_.scheduler, graph_, platform_,
+                                {.rank = options_.rank,
+                                 .faults = faulty ? faults : nullptr,
+                                 .actual_times = actuals_,
+                                 .sink = options_.sink});
+  schedule_ = std::move(run.schedule);
+  stats_ = run.stats;
   ran_ = true;
 
   bound_check_ = obs::BoundCheck{};

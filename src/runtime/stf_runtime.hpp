@@ -4,10 +4,11 @@
 //
 // The application registers data handles and submits tasks sequentially,
 // declaring per-task data accesses; the runtime infers the dependency DAG,
-// computes priorities, schedules with a pluggable policy (HeteroPrio by
-// default) and "executes" on a simulated m-CPU + n-GPU node. Duration
-// estimates may be noisy: decisions use the estimates, the simulated clock
-// uses the actual times (§1's motivation for dynamic schedulers).
+// computes priorities, schedules with any scheduler of runtime/dispatch.hpp
+// (HeteroPrio by default) and "executes" on a simulated m-CPU + n-GPU node.
+// Duration estimates may be noisy: decisions use the estimates, the
+// simulated clock uses the actual times (§1's motivation for dynamic
+// schedulers).
 //
 //   runtime::StfRuntime rt(Platform(20, 4));
 //   auto a = rt.register_data("A00");
@@ -27,21 +28,17 @@
 #include "obs/event.hpp"
 #include "obs/watchdog.hpp"
 #include "runtime/data.hpp"
+#include "runtime/dispatch.hpp"
 #include "sched/schedule.hpp"
 #include "util/rng.hpp"
 
 namespace hp::runtime {
 
-enum class SchedulerPolicy {
-  kHeteroPrio,  ///< online HeteroPrio with spoliation (default)
-  kHeft,        ///< static HEFT plan, replayed under actual durations
-  kDualHp,      ///< DualHP re-solved over ready sets (estimates), replayed
-};
-
-[[nodiscard]] const char* policy_name(SchedulerPolicy policy) noexcept;
-
 struct RuntimeOptions {
-  SchedulerPolicy policy = SchedulerPolicy::kHeteroPrio;
+  /// Scheduler the inferred DAG is dispatched to (runtime/dispatch.hpp):
+  /// HeteroPrio runs online under the actual durations, a static HEFT or
+  /// DualHP plan is replayed under them.
+  SchedulerId scheduler = SchedulerId::kHp;
   /// Priority scheme for the inferred DAG (kFifo = submission order only).
   RankScheme rank = RankScheme::kMin;
   /// Multiplicative lognormal noise applied to actual task durations;
@@ -49,7 +46,7 @@ struct RuntimeOptions {
   double noise_sigma = 0.0;
   std::uint64_t noise_seed = 1;
   /// Structured event stream of the run: HeteroPrio emits natively as
-  /// decisions happen; static policies replay the realized schedule.
+  /// decisions happen; static plans replay the realized schedule.
   obs::EventSink* sink = nullptr;
   /// Run the bound watchdog after the run: compares the realized makespan
   /// against dag_lower_bound times the proven ratio for the platform shape
@@ -58,9 +55,8 @@ struct RuntimeOptions {
   /// survived to the end of the run.
   bool check_bounds = false;
   /// Fault plan to inject. HeteroPrio recovers online in the engine; the
-  /// static policies replay their plan through
-  /// fault::execute_plan_with_faults. Outcome via recovery(). The plan must
-  /// outlive the run.
+  /// static plans are replayed through fault::execute_plan_with_faults.
+  /// Outcome via recovery(). The plan must outlive the run.
   const fault::FaultPlan* faults = nullptr;
 };
 
@@ -92,7 +88,7 @@ class StfRuntime {
   [[nodiscard]] std::span<const Task> actual_times() const noexcept {
     return actuals_;
   }
-  /// HeteroPrio statistics of the last run() (zero for static policies).
+  /// HeteroPrio statistics of the last run() (zero for static plans).
   [[nodiscard]] const HeteroPrioStats& stats() const noexcept { return stats_; }
   /// Online-recovery outcome of the last run() (all zero without faults).
   [[nodiscard]] const fault::RecoveryReport& recovery() const noexcept {

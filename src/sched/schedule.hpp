@@ -8,6 +8,7 @@
 // can see it).
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "model/platform.hpp"
@@ -78,5 +79,10 @@ class Schedule {
   std::vector<Placement> placements_;
   std::vector<AbortedSegment> aborted_;
 };
+
+/// Bitwise schedule equality: placements (worker/start/end) and aborted
+/// segments. Fills `*why` with the first difference when provided.
+[[nodiscard]] bool identical_schedules(const Schedule& a, const Schedule& b,
+                                       std::string* why = nullptr);
 
 }  // namespace hp

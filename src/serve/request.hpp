@@ -4,34 +4,28 @@
 //
 // A Request is one self-contained scheduling problem (workload + platform +
 // backend + optional fault plan) tagged with the tenant that submitted it.
-// execute_request() is a *pure function* of the request, running exactly
-// the engine composition the fuzz oracle's direct runs use: HeteroPrio
-// (with or without spoliation) natively — faults handled online by the
-// engine — and HEFT/DualHP as static plans replayed through
-// fault::execute_plan_with_faults when a plan is present. That purity is
-// what the `serve` oracle property and the driver's --verify mode
-// assert: a schedule computed through the service — any worker, any
-// batching, any admission pressure — is bitwise-identical to the direct
-// engine call.
+// execute_request() is a *pure function* of the request: it calls
+// run_scheduler() (runtime/dispatch.hpp), the same dispatch the fuzz
+// oracle's direct runs call, passing the fault plan only when it is
+// non-empty. That purity is what the `serve` oracle property and the
+// driver's --verify mode assert: a schedule computed through the service —
+// any worker, any batching, any admission pressure — is bitwise-identical
+// to the direct run_scheduler() call.
 
 #include <cstdint>
-#include <string>
 
 #include "dag/ranking.hpp"
 #include "dag/task_graph.hpp"
 #include "fault/fault_plan.hpp"
 #include "model/platform.hpp"
+#include "runtime/dispatch.hpp"
 #include "sched/schedule.hpp"
 
 namespace hp::serve {
 
-/// Engine a request is dispatched to (same set the fuzz oracle drives).
-enum class Backend : std::uint8_t { kHp = 0, kHpNoSpol, kHeft, kDualHp };
-inline constexpr int kNumBackends = 4;
-
-[[nodiscard]] const char* backend_name(Backend backend) noexcept;
-[[nodiscard]] bool backend_from_name(const std::string& name,
-                                     Backend* out) noexcept;
+/// Engine a request is dispatched to; the service's name for SchedulerId.
+using Backend = SchedulerId;
+inline constexpr int kNumBackends = kNumSchedulers;
 
 struct Request {
   int tenant = 0;
@@ -69,9 +63,8 @@ struct Response {
 /// schedule-bearing fields (schedule, recovery, makespan, status) are set.
 [[nodiscard]] Response execute_request(const Request& request);
 
-/// Bitwise schedule equality: placements (worker/start/end) and aborted
-/// segments. Fills `*why` with the first difference when provided.
-[[nodiscard]] bool identical_schedules(const Schedule& a, const Schedule& b,
-                                       std::string* why = nullptr);
+/// The service's differential compares with sched/schedule.hpp's bitwise
+/// equality; it stays reachable under this namespace.
+using hp::identical_schedules;
 
 }  // namespace hp::serve

@@ -648,14 +648,13 @@ TEST(FaultRecovery, RuntimeThreadsThePlanThroughAllPolicies) {
   using runtime::StfRuntime;
   const Platform platform(2, 1);
 
-  for (const auto policy :
-       {runtime::SchedulerPolicy::kHeteroPrio, runtime::SchedulerPolicy::kHeft,
-        runtime::SchedulerPolicy::kDualHp}) {
+  for (const SchedulerId scheduler :
+       {SchedulerId::kHp, SchedulerId::kHeft, SchedulerId::kDualHp}) {
     fault::FaultPlan plan;
     plan.add_crash(0, 1.0);
 
     runtime::RuntimeOptions options;
-    options.policy = policy;
+    options.scheduler = scheduler;
     options.faults = &plan;
     options.check_bounds = true;
     StfRuntime rt(platform, options);
@@ -665,16 +664,16 @@ TEST(FaultRecovery, RuntimeThreadsThePlanThroughAllPolicies) {
       rt.submit(Task{1.0, 0.5}, {runtime::RW(i % 2 == 0 ? x : y)});
     }
     const double makespan = rt.run();
-    EXPECT_GT(makespan, 0.0) << policy_name(policy);
-    EXPECT_EQ(rt.recovery().worker_crashes, 1) << policy_name(policy);
+    EXPECT_GT(makespan, 0.0) << scheduler_name(scheduler);
+    EXPECT_EQ(rt.recovery().worker_crashes, 1) << scheduler_name(scheduler);
     const auto check =
         check_schedule(rt.schedule(), rt.graph(), platform, kFaultyRun);
-    EXPECT_TRUE(check.ok) << policy_name(policy) << ": " << check.message;
+    EXPECT_TRUE(check.ok) << scheduler_name(scheduler) << ": " << check.message;
     // The watchdog judged the surviving (1 CPU, 1 GPU) shape; DAG verdicts
     // are advisory (a static failover replay may exceed phi legitimately).
     EXPECT_EQ(rt.bound_check().shape, obs::PlatformShape::kSingleSingle)
-        << policy_name(policy);
-    EXPECT_TRUE(rt.bound_check().advisory) << policy_name(policy);
+        << scheduler_name(scheduler);
+    EXPECT_TRUE(rt.bound_check().advisory) << scheduler_name(scheduler);
   }
 }
 

@@ -7,6 +7,13 @@
 #include "linalg/kernel_timings.hpp"
 #include "sched/validate.hpp"
 
+namespace hp {
+
+// Names the parameterized cases below after their scheduler.
+void PrintTo(SchedulerId id, std::ostream* os) { *os << scheduler_name(id); }
+
+}  // namespace hp
+
 namespace hp::runtime {
 namespace {
 
@@ -63,8 +70,8 @@ TEST(StfRuntime, IndependentDataIndependentTasks) {
 }
 
 /// Submit a tiny tiled Cholesky through the STF API and check it against
-/// every policy.
-class StfCholesky : public ::testing::TestWithParam<SchedulerPolicy> {
+/// every scheduler the runtime is exercised with.
+class StfCholesky : public ::testing::TestWithParam<SchedulerId> {
  protected:
   static void submit_cholesky(StfRuntime& rt, int tiles) {
     const TimingModel model = TimingModel::chameleon_960();
@@ -100,7 +107,7 @@ class StfCholesky : public ::testing::TestWithParam<SchedulerPolicy> {
 
 TEST_P(StfCholesky, MatchesGeneratorDagAndSchedulesValidly) {
   RuntimeOptions options;
-  options.policy = GetParam();
+  options.scheduler = GetParam();
   StfRuntime rt(Platform(4, 2), options);
   submit_cholesky(rt, 6);
   const double makespan = rt.run();
@@ -110,16 +117,16 @@ TEST_P(StfCholesky, MatchesGeneratorDagAndSchedulesValidly) {
   EXPECT_TRUE(rt.graph().is_dag());
 
   const auto check = check_schedule(rt.schedule(), rt.graph(), Platform(4, 2));
-  EXPECT_TRUE(check.ok) << policy_name(GetParam()) << ": " << check.message;
+  EXPECT_TRUE(check.ok) << scheduler_name(GetParam()) << ": " << check.message;
   const double lb = dag_lower_bound(rt.graph(), Platform(4, 2)).value();
   EXPECT_GE(makespan, lb - 1e-9);
   EXPECT_LE(makespan, 4.0 * lb);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, StfCholesky,
-                         ::testing::Values(SchedulerPolicy::kHeteroPrio,
-                                           SchedulerPolicy::kHeft,
-                                           SchedulerPolicy::kDualHp));
+                         ::testing::Values(SchedulerId::kHp,
+                                           SchedulerId::kHeft,
+                                           SchedulerId::kDualHp));
 
 TEST(StfRuntime, NoisyRunIsValidAgainstActualTimes) {
   RuntimeOptions options;
@@ -172,9 +179,10 @@ TEST(StfRuntime, HeteroPrioStatsExposed) {
 }
 
 TEST(StfRuntime, PolicyNames) {
-  EXPECT_STREQ(policy_name(SchedulerPolicy::kHeteroPrio), "HeteroPrio");
-  EXPECT_STREQ(policy_name(SchedulerPolicy::kHeft), "HEFT");
-  EXPECT_STREQ(policy_name(SchedulerPolicy::kDualHp), "DualHP");
+  EXPECT_EQ(RuntimeOptions{}.scheduler, SchedulerId::kHp);
+  EXPECT_STREQ(scheduler_name(SchedulerId::kHp), "hp");
+  EXPECT_STREQ(scheduler_name(SchedulerId::kHeft), "heft");
+  EXPECT_STREQ(scheduler_name(SchedulerId::kDualHp), "dualhp");
 }
 
 }  // namespace

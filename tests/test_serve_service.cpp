@@ -60,7 +60,7 @@ TEST(ServeService, SingleRequestMatchesDirectRunBitwise) {
     EXPECT_EQ(response.id, ticket.id);
     std::string why;
     EXPECT_TRUE(identical_schedules(response.schedule, direct.schedule, &why))
-        << backend_name(backend) << ": " << why;
+        << scheduler_name(backend) << ": " << why;
     EXPECT_EQ(response.makespan, direct.makespan);
     service.drain();
     const Service::Accounting acct = service.accounting();

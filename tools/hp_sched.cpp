@@ -22,8 +22,6 @@
 #include <string>
 #include <string_view>
 
-#include "baselines/dualhp.hpp"
-#include "baselines/heft.hpp"
 #include "baselines/online_greedy.hpp"
 #include "bounds/area_bound.hpp"
 #include "bounds/dag_lower_bound.hpp"
@@ -31,7 +29,6 @@
 #include "core/heteroprio_dag.hpp"
 #include "dag/ranking.hpp"
 #include "fault/fault_plan.hpp"
-#include "fault/replay.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/generator.hpp"
 #include "fuzz/oracle.hpp"
@@ -54,6 +51,7 @@
 #include "obs/watchdog.hpp"
 #include "online/arrival.hpp"
 #include "online/runtime.hpp"
+#include "runtime/dispatch.hpp"
 #include "model/generators.hpp"
 #include "serve/driver.hpp"
 #include "util/rng.hpp"
@@ -270,10 +268,9 @@ int cmd_bound(const Args& args) {
 /// One scheduler run of the CLI: loaded workload, validated schedule and
 /// the event stream the run emitted (native for HeteroPrio, replayed for
 /// the static planners).
-struct RunResult {
+struct CliRun {
   Schedule schedule;
-  std::vector<Task> tasks;
-  TaskGraph graph;  ///< populated iff is_graph (dependency edges for reports)
+  TaskGraph graph;  ///< the workload; edge-free for an instance file
   double lower_bound = 0.0;
   bool is_graph = false;
   obs::EventRecorder events;
@@ -284,11 +281,10 @@ struct RunResult {
 /// `metrics` (optional) attaches a phase-profiling collector to the
 /// schedulers that support one (hp, hp-nospol, heft, dualhp); the online
 /// rules ignore it.
-std::optional<RunResult> run_algorithm(const Args& args,
-                                       const Platform& platform,
-                                       int* exit_code,
-                                       obs::MetricsCollector* metrics
-                                       = nullptr) {
+std::optional<CliRun> run_algorithm(const Args& args,
+                                    const Platform& platform,
+                                    int* exit_code,
+                                    obs::MetricsCollector* metrics = nullptr) {
   const auto text = io::load_text_file(args.get("in"));
   if (!text.has_value()) {
     std::cerr << "cannot read " << args.get("in") << '\n';
@@ -298,11 +294,9 @@ std::optional<RunResult> run_algorithm(const Args& args,
   const std::string algo = args.get("algo", "hp");
   const RankScheme rank = parse_rank(args.get("rank", "min"));
 
-  RunResult result;
+  CliRun result;
   result.is_graph = text->find("\nedge ") != std::string::npos;
-  obs::EventSink* sink = &result.events;
   std::string error;
-
   if (result.is_graph) {
     auto graph = io::graph_from_text(*text, &error);
     if (!graph.has_value()) {
@@ -312,40 +306,6 @@ std::optional<RunResult> run_algorithm(const Args& args,
     }
     assign_priorities(*graph, rank);
     result.lower_bound = dag_lower_bound(*graph, platform).value();
-    if (algo == "hp") {
-      HeteroPrioOptions hp_options;
-      hp_options.sink = sink;
-      hp_options.metrics = metrics;
-      result.schedule = heteroprio_dag(*graph, platform, hp_options);
-    } else if (algo == "hp-nospol") {
-      HeteroPrioOptions hp_options;
-      hp_options.enable_spoliation = false;
-      hp_options.sink = sink;
-      hp_options.metrics = metrics;
-      result.schedule = heteroprio_dag(*graph, platform, hp_options);
-    } else if (algo == "heft") {
-      result.schedule = heft(
-          *graph, platform,
-          {.rank = rank == RankScheme::kFifo ? RankScheme::kAvg : rank,
-           .sink = sink, .metrics = metrics});
-    } else if (algo == "dualhp") {
-      result.schedule =
-          dualhp_dag(*graph, platform,
-                     {.fifo_order = rank == RankScheme::kFifo, .sink = sink,
-                      .metrics = metrics});
-    } else {
-      std::cerr << "algorithm '" << algo << "' needs an independent-task "
-                << "instance (or is unknown)\n";
-      *exit_code = 2;
-      return std::nullopt;
-    }
-    result.tasks.assign(graph->tasks().begin(), graph->tasks().end());
-    const auto check = check_schedule(result.schedule, *graph, platform);
-    if (!check.ok) {
-      std::cerr << "internal error: invalid schedule: " << check.message << '\n';
-      *exit_code = 1;
-      return std::nullopt;
-    }
     result.graph = std::move(*graph);
   } else {
     const auto inst = io::instance_from_text(*text, &error);
@@ -355,39 +315,42 @@ std::optional<RunResult> run_algorithm(const Args& args,
       return std::nullopt;
     }
     result.lower_bound = opt_lower_bound(inst->tasks(), platform);
-    if (algo == "hp" || algo == "hp-nospol") {
-      HeteroPrioOptions hp_options;
-      hp_options.enable_spoliation = algo == "hp";
-      hp_options.sink = sink;
-      hp_options.metrics = metrics;
-      result.schedule = heteroprio(inst->tasks(), platform, hp_options);
-    } else if (algo == "heft") {
-      result.schedule = heft_independent(inst->tasks(), platform,
-                                         {.sink = sink, .metrics = metrics});
-    } else if (algo == "dualhp") {
-      result.schedule = dualhp(inst->tasks(), platform,
-                               {.sink = sink, .metrics = metrics});
-    } else if (algo == "online-eft") {
-      result.schedule = online_greedy(inst->tasks(), platform,
-                                      {OnlineRule::kEft, 1.0, sink});
-    } else if (algo == "online-threshold") {
-      result.schedule = online_greedy(inst->tasks(), platform,
-                                      {OnlineRule::kThreshold, 1.0, sink});
-    } else if (algo == "online-balance") {
-      result.schedule = online_greedy(inst->tasks(), platform,
-                                      {OnlineRule::kBalance, 1.0, sink});
-    } else {
-      std::cerr << "unknown algorithm '" << algo << "'\n";
-      *exit_code = 2;
-      return std::nullopt;
-    }
-    result.tasks.assign(inst->tasks().begin(), inst->tasks().end());
-    const auto check = check_schedule(result.schedule, result.tasks, platform);
-    if (!check.ok) {
-      std::cerr << "internal error: invalid schedule: " << check.message << '\n';
-      *exit_code = 1;
-      return std::nullopt;
-    }
+    for (const Task& t : inst->tasks()) result.graph.add_task(t);
+    result.graph.finalize();
+  }
+
+  obs::EventSink* sink = &result.events;
+  SchedulerId id{};
+  if (scheduler_from_name(algo, &id)) {
+    result.schedule =
+        run_scheduler(id, result.graph, platform,
+                      {.rank = rank, .sink = sink, .metrics = metrics})
+            .schedule;
+  } else if (result.is_graph) {
+    std::cerr << "algorithm '" << algo << "' needs an independent-task "
+              << "instance (or is unknown)\n";
+    *exit_code = 2;
+    return std::nullopt;
+  } else if (algo == "online-eft") {
+    result.schedule = online_greedy(result.graph.tasks(), platform,
+                                    {OnlineRule::kEft, 1.0, sink});
+  } else if (algo == "online-threshold") {
+    result.schedule = online_greedy(result.graph.tasks(), platform,
+                                    {OnlineRule::kThreshold, 1.0, sink});
+  } else if (algo == "online-balance") {
+    result.schedule = online_greedy(result.graph.tasks(), platform,
+                                    {OnlineRule::kBalance, 1.0, sink});
+  } else {
+    std::cerr << "unknown algorithm '" << algo << "'\n";
+    *exit_code = 2;
+    return std::nullopt;
+  }
+
+  const auto check = check_schedule(result.schedule, result.graph, platform);
+  if (!check.ok) {
+    std::cerr << "internal error: invalid schedule: " << check.message << '\n';
+    *exit_code = 1;
+    return std::nullopt;
   }
   return result;
 }
@@ -399,7 +362,7 @@ int cmd_schedule(const Args& args) {
   if (!run.has_value()) return exit_code;
   const std::string algo = args.get("algo", "hp");
   const Schedule& schedule = run->schedule;
-  const std::vector<Task>& tasks = run->tasks;
+  const std::span<const Task> tasks = run->graph.tasks();
   const double lower_bound = run->lower_bound;
 
   const ScheduleMetrics metrics = compute_metrics(schedule, tasks, platform);
@@ -454,12 +417,13 @@ int cmd_trace(const Args& args) {
     obs::MetricsRegistry metrics;
     obs::add_to_registry(
         obs::counters_from_events(run->events.events(), platform), &metrics);
-    add_to_registry(build_critical_path(run->schedule, run->tasks, platform,
-                                        run->is_graph ? &run->graph : nullptr),
-                    &metrics);
+    add_to_registry(
+        build_critical_path(run->schedule, run->graph.tasks(), platform,
+                            run->is_graph ? &run->graph : nullptr),
+        &metrics);
     obs::derive_metrics(run->events.events(), platform, &metrics);
     const std::string json = obs::chrome_trace_from_events(
-        run->events.events(), platform, run->tasks, &metrics);
+        run->events.events(), platform, run->graph.tasks(), &metrics);
     std::string error;
     if (!obs::validate_chrome_trace(json, platform, &error)) {
       std::cerr << "internal error: emitted trace is invalid: " << error
@@ -523,17 +487,17 @@ int cmd_report(const Args& args) {
   // The exposition always carries the cp_* attribution — a scrape should
   // not depend on the report flag; the flag only controls the prose.
   if (args.options.count("critical-path") != 0 || !metrics_out.empty()) {
-    cp = build_critical_path(run->schedule, run->tasks, platform,
+    cp = build_critical_path(run->schedule, run->graph.tasks(), platform,
                              run->is_graph ? &run->graph : nullptr);
     add_to_registry(*cp, &metrics);
   }
   std::cout << "algorithm: " << args.get("algo", "hp")
-            << "\ntasks: " << run->tasks.size()
+            << "\ntasks: " << run->graph.size()
             << "\nmakespan: " << run->schedule.makespan()
             << "\nlower bound: " << run->lower_bound << "\n\n"
             << obs::counter_table(metrics, phase_gauges) << '\n';
   if (cp.has_value() && args.options.count("critical-path") != 0) {
-    std::cout << describe(*cp, run->tasks, platform) << '\n';
+    std::cout << describe(*cp, run->graph.tasks(), platform) << '\n';
   }
 
   if (!metrics_out.empty()) {
@@ -578,10 +542,16 @@ int cmd_faults(const Args& args) {
   }
   const Platform platform(args.get_int("cpus", 20), args.get_int("gpus", 4));
   const std::string algo = args.get("algo", "hp");
+  SchedulerId id{};
+  if (!scheduler_from_name(algo, &id)) {
+    std::cerr << "unknown algorithm '" << algo << "' (faults supports "
+              << "hp|hp-nospol|heft|dualhp)\n";
+    return 2;
+  }
   const RankScheme rank = parse_rank(args.get("rank", "min"));
 
   // Load the workload; an independent-task instance becomes an edge-free
-  // graph so one code path (and the static faulty replay) serves both.
+  // graph, which the dispatch runs with the independent-task entry points.
   std::string error;
   TaskGraph graph;
   if (text->find("\nedge ") != std::string::npos) {
@@ -643,33 +613,10 @@ int cmd_faults(const Args& args) {
   }
 
   obs::EventRecorder events;
-  Schedule schedule;
-  fault::RecoveryReport recovery;
-  if (algo == "hp" || algo == "hp-nospol") {
-    HeteroPrioOptions hp_options;
-    hp_options.enable_spoliation = algo == "hp";
-    hp_options.sink = &events;
-    hp_options.faults = &plan;
-    HeteroPrioStats stats;
-    schedule = heteroprio_dag(graph, platform, hp_options, &stats);
-    recovery = stats.recovery;
-  } else if (algo == "heft" || algo == "dualhp") {
-    const Schedule planned =
-        algo == "heft"
-            ? heft(graph, platform,
-                   {.rank = rank == RankScheme::kFifo ? RankScheme::kAvg
-                                                      : rank})
-            : dualhp_dag(graph, platform,
-                         {.fifo_order = rank == RankScheme::kFifo});
-    auto replayed = fault::execute_plan_with_faults(planned, graph, platform,
-                                                    plan, {}, &events);
-    schedule = std::move(replayed.schedule);
-    recovery = replayed.recovery;
-  } else {
-    std::cerr << "unknown algorithm '" << algo << "' (faults supports "
-              << "hp|hp-nospol|heft|dualhp)\n";
-    return 2;
-  }
+  const RunResult run = run_scheduler(
+      id, graph, platform, {.rank = rank, .faults = &plan, .sink = &events});
+  const Schedule& schedule = run.schedule;
+  const fault::RecoveryReport& recovery = run.stats.recovery;
 
   // Straggler windows stretch wall-clock durations and a degraded run may
   // leave tasks unplaced; everything that ran must still be exclusive and
@@ -997,18 +944,18 @@ int cmd_serve(const Args& args) {
   }
 
   const std::string backend_arg = args.get("backend", "mixed");
-  serve::Backend fixed_backend{};
+  SchedulerId fixed_backend{};
   const bool mixed = backend_arg == "mixed";
-  if (!mixed && !serve::backend_from_name(backend_arg, &fixed_backend)) {
+  if (!mixed && !scheduler_from_name(backend_arg, &fixed_backend)) {
     std::cerr << "unknown backend '" << backend_arg << "'\n";
     return 2;
   }
   const auto pick_backend = [&](int index) {
     if (!mixed) return fixed_backend;
     switch (index % 3) {
-      case 0: return serve::Backend::kHp;
-      case 1: return serve::Backend::kHeft;
-      default: return serve::Backend::kDualHp;
+      case 0: return SchedulerId::kHp;
+      case 1: return SchedulerId::kHeft;
+      default: return SchedulerId::kDualHp;
     }
   };
   const RankScheme rank = parse_rank(args.get("rank", "min"));
@@ -1111,14 +1058,14 @@ int cmd_serve(const Args& args) {
 
 /// Parse "hp,heft" / "all" into scheduler ids (empty = all).
 bool parse_scheduler_list(const std::string& text,
-                          std::vector<fuzz::SchedulerId>* out) {
+                          std::vector<SchedulerId>* out) {
   out->clear();
   if (text.empty() || text == "all") return true;
   std::istringstream iss(text);
   std::string name;
   while (std::getline(iss, name, ',')) {
-    fuzz::SchedulerId id{};
-    if (!fuzz::scheduler_from_name(name, &id)) {
+    SchedulerId id{};
+    if (!scheduler_from_name(name, &id)) {
       std::cerr << "unknown scheduler '" << name << "'\n";
       return false;
     }
